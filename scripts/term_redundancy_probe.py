@@ -12,17 +12,10 @@ Usage: python3 scripts/term_redundancy_probe.py [max_n]
 """
 
 import sys
-from itertools import combinations
 
 from orthokit import catalog
+from orthokit.congruence import subsets_with_one
 from orthokit.terms import builtin_terms, closed_under_term
-
-
-def subsets_with_one(n, one):
-    rest = [x for x in range(n) if x != one]
-    for r in range(len(rest) + 1):
-        for picked in combinations(rest, r):
-            yield frozenset(picked) | {one}
 
 
 def classify(T, terms, D):
@@ -40,8 +33,8 @@ def main(max_n=8):
         disagreements = []
         for e in reducts:
             T = e.payload
-            full = {D for D in subsets_with_one(T.n, T.one) if classify(T, terms.values(), D)}
-            part = {D for D in subsets_with_one(T.n, T.one) if classify(T, kept, D)}
+            full = {D for D in subsets_with_one(T) if classify(T, terms.values(), D)}
+            part = {D for D in subsets_with_one(T) if classify(T, kept, D)}
             if full != part:
                 extra = min((sorted(D) for D in part - full), default=None)
                 disagreements.append((e.name, len(part) - len(full), extra))

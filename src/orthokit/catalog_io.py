@@ -27,12 +27,11 @@ from .core import (
     OrtholatticeTable,
     OrthosemilatticeTable,
     as_orthosemilattice,
-    is_strong,
     lattice_from_order,
     restrict_to_filter,
     validate_poset,
 )
-from .errors import MissingComplement, NotStrong, ParseError, RangeError
+from .errors import MissingComplement, ParseError, RangeError
 from .implication import ImplicationTable, derive_bullet
 
 
@@ -131,16 +130,7 @@ def parse_olat(text: str) -> OrtholatticeTable:
     for i, c in enumerate(comp):
         if c is None:
             raise MissingComplement(i)
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for i, j in le_pairs:
-        leq[i][j] = True
-    _transitive_closure(leq)
-    poset = validate_poset(leq)
-    join, meet, bot, top = lattice_from_order(poset)
-    return OrtholatticeTable(
-        n=n, join=join, meet=meet, comp=tuple(comp), bot=bot, top=top,
-        names=tuple(names) if names else None,
-    )
+    return ortholattice_from_covers(n, le_pairs, enumerate(comp), names)
 
 
 def _cover_pairs(L: OrtholatticeTable) -> list[tuple[int, int]]:
@@ -239,6 +229,7 @@ def sniff_format(text: str) -> str:
 
 
 def ortholattice_from_covers(n, covers, comp_pairs, names=None) -> OrtholatticeTable:
+    """Close the order generators reflexively and transitively, then tabulate the lattice."""
     leq = [[i == j for j in range(n)] for i in range(n)]
     for i, j in covers:
         leq[i][j] = True
@@ -303,13 +294,6 @@ def _fig2_strong12() -> OrtholatticeTable:
     return ortholattice_from_covers(12, covers, comp_pairs, names=names)
 
 
-def _strong_semilattice(L: OrtholatticeTable) -> OrthosemilatticeTable:
-    result = is_strong(L)
-    if not result:
-        raise NotStrong(result.failing_p)
-    return as_orthosemilattice(L, result.witnesses)
-
-
 @lru_cache(maxsize=1)
 def catalog() -> tuple[CatalogEntry, ...]:
     """The built-in models, identical across runs.
@@ -335,7 +319,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
                      "12-element strong ortholattice, neither modular nor orthomodular"),
     ]
 
-    semis = {name: _strong_semilattice(L)
+    semis = {name: as_orthosemilattice(L)
              for name, L in [("chain2", chain2), ("bool4", bool4), ("bool8", bool8),
                              ("mo2", mo2), ("fig2_strong12", fig2)]}
     fig2_full = semis["fig2_strong12"]
@@ -376,5 +360,5 @@ def semilattice(name: str) -> OrthosemilatticeTable:
     if e.kind == "orthosemilattice":
         return e.payload
     if e.kind == "ortholattice":
-        return _strong_semilattice(e.payload)
+        return as_orthosemilattice(e.payload)
     raise KeyError(f"entry {name!r} is an implication table, not a semilattice")

@@ -9,18 +9,9 @@ and closure of the principal congruences under pairwise join.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .errors import (
-    BadIndex,
-    KernelMismatch,
-    MissingOne,
-    NotD1,
-    NotD2,
-    RelationNotCompatible,
-    RelationNotReflexive,
-    RelationNotTransitive,
-    TooLarge,
-)
+from .errors import BadIndex, InconsistentTable, MissingOne, NotD1, NotD2, TooLarge
 from .implication import ImplicationTable
 from .report import Verdict
 
@@ -237,6 +228,14 @@ def verify_kernel_injectivity(T: ImplicationTable) -> Verdict:
     return Verdict(True)
 
 
+def subsets_with_one(T: ImplicationTable):
+    """Every subset of the carrier that contains 1, by size, then lexicographically."""
+    rest = [x for x in range(T.n) if x != T.one]
+    for r in range(len(rest) + 1):
+        for picked in combinations(rest, r):
+            yield frozenset(picked) | {T.one}
+
+
 def check_d1(T: ImplicationTable, D) -> Verdict:
     """x in D and y*z in D imply (x*y)*z in D; witness is (x, y, z)."""
     members = frozenset(D)
@@ -254,29 +253,35 @@ def check_d1(T: ImplicationTable, D) -> Verdict:
     return Verdict(True)
 
 
-def check_d2(T: ImplicationTable, D) -> Verdict:
-    """x*y, y*x in D imply (x*z)*(y*z) in D and (z*x)*(z*y) in D; witness is (x, y, z)."""
-    members = frozenset(D)
-    if T.one not in members:
-        raise MissingOne()
+def _d2_failure(T: ImplicationTable, members, right: bool = True, left: bool = True) -> tuple | None:
+    """First (x, y, z) with x*y, y*x in D but (x*z)*(y*z) (right half) or (z*x)*(z*y) (left half) not in D."""
     n, B = T.n, T.bullet
     for x in range(n):
         for y in range(n):
             if B[x][y] not in members or B[y][x] not in members:
                 continue
             for z in range(n):
-                if B[B[x][z]][B[y][z]] not in members or B[B[z][x]][B[z][y]] not in members:
-                    return Verdict(False, (x, y, z))
-    return Verdict(True)
+                if (right and B[B[x][z]][B[y][z]] not in members) or (left and B[B[z][x]][B[z][y]] not in members):
+                    return (x, y, z)
+    return None
+
+
+def check_d2(T: ImplicationTable, D) -> Verdict:
+    """x*y, y*x in D imply (x*z)*(y*z) in D and (z*x)*(z*y) in D; witness is (x, y, z)."""
+    members = frozenset(D)
+    if T.one not in members:
+        raise MissingOne()
+    w = _d2_failure(T, members)
+    return Verdict(w is None, w)
 
 
 def theta_from_kernel(T: ImplicationTable, D) -> Partition:
     """The congruence whose kernel is D: relate x and y iff x*y and y*x lie in D.
 
     D must contain 1 and satisfy the two closure rules, otherwise NotD1 or
-    NotD2 is raised.  Transitivity, compatibility, and the kernel itself are
-    then verified rather than trusted; a violation cannot happen for genuine
-    inputs and is reported as a loud internal failure.
+    NotD2 is raised.  That the relation is an equivalence, its compatibility,
+    and the kernel itself are then verified rather than trusted; a violation
+    cannot happen for genuine inputs and raises InconsistentTable.
     """
     members = frozenset(D)
     if T.one not in members:
@@ -289,22 +294,15 @@ def theta_from_kernel(T: ImplicationTable, D) -> Partition:
         raise NotD2(v.witness)
     n, B = T.n, T.bullet
     rel = [[B[x][y] in members and B[y][x] in members for y in range(n)] for x in range(n)]
-    for x in range(n):
-        if not rel[x][x]:
-            raise RelationNotReflexive(x)
-    for x in range(n):
-        for y in range(n):
-            if not rel[x][y]:
-                continue
-            for z in range(n):
-                if rel[y][z] and not rel[x][z]:
-                    raise RelationNotTransitive((x, y, z))
-    rep = tuple(min(y for y in range(n) if rel[x][y]) for x in range(n))
+    # rel is an equivalence iff it relates exactly the pairs with equal least relative
+    rep = tuple(next((y for y in range(n) if rel[x][y]), x) for x in range(n))
+    if any(rel[x][y] != (rep[x] == rep[y]) for x in range(n) for y in range(n)):
+        raise InconsistentTable("kernel relation is not an equivalence")
     P = Partition(rep)
     bad = congruence_violation(T, P)
     if bad is not None:
-        raise RelationNotCompatible(bad)
+        raise InconsistentTable(f"kernel relation not compatible at {bad}")
     got = kernel(T, P).members
     if got != members:
-        raise KernelMismatch(members, got)
+        raise InconsistentTable(f"kernel mismatch: expected {sorted(members)}, got {sorted(got)}")
     return P

@@ -25,7 +25,7 @@ from .errors import (
     TooLarge,
     WitnessNotFound,
 )
-from .report import Check, CheckReport, Verdict
+from .report import CheckReport, Verdict, first_failure
 
 # Backtracking over candidate involutions is exponential in the interval
 # size, so the witness search refuses carriers above this bound.
@@ -141,6 +141,15 @@ def validate_poset(leq) -> PosetTable:
     return PosetTable(n, rows)
 
 
+def _least(le, candidates) -> int | None:
+    """The candidate below every other candidate under le, or None."""
+    cands = list(candidates)
+    for c in cands:
+        if all(le(c, v) for v in cands):
+            return c
+    return None
+
+
 def lattice_from_order(poset: PosetTable) -> tuple[Table, Table, int, int]:
     """Compute (join, meet, bot, top) by scanning bound sets, or raise naming the bad pair.
 
@@ -154,25 +163,17 @@ def lattice_from_order(poset: PosetTable) -> tuple[Table, Table, int, int]:
     bots = [i for i in range(n) if all(leq[i][j] for j in range(n))]
     if not bots:
         raise NoBottom()
-    join = []
-    meet = []
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
     for i in range(n):
-        jrow = []
-        mrow = []
         for j in range(n):
-            ubs = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            least = [u for u in ubs if all(leq[u][v] for v in ubs)]
-            if not least:
+            join[i][j] = _least(poset.le, (k for k in range(n) if leq[i][k] and leq[j][k]))
+            if join[i][j] is None:
                 raise NoJoin(i, j)
-            jrow.append(least[0])
-            lbs = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            greatest = [g for g in lbs if all(leq[v][g] for v in lbs)]
-            if not greatest:
+            meet[i][j] = _least(lambda a, b: leq[b][a], (k for k in range(n) if leq[k][i] and leq[k][j]))
+            if meet[i][j] is None:
                 raise NoMeet(i, j)
-            mrow.append(greatest[0])
-        join.append(tuple(jrow))
-        meet.append(tuple(mrow))
-    return tuple(join), tuple(meet), bots[0], tops[0]
+    return tuple(map(tuple, join)), tuple(map(tuple, meet)), bots[0], tops[0]
 
 
 def _check_lattice_shape(L: OrtholatticeTable) -> None:
@@ -204,46 +205,48 @@ def validate_ortholattice(L: OrtholatticeTable) -> CheckReport:
     n, jn, mt, cp = L.n, L.join, L.meet, L.comp
     lab = L.label
     rng = range(n)
-    checks: list[Check] = []
-
-    def add(name, fails):
-        first = next(fails, None)
-        checks.append(Check(name, first is None, first or ""))
-
-    add("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x]))
-    add("meet-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if mt[x][y] != mt[y][x]))
-    add("join-associative", (
-        f"x={lab(x)} y={lab(y)} z={lab(z)}"
-        for x in rng for y in rng for z in rng if jn[jn[x][y]][z] != jn[x][jn[y][z]]
-    ))
-    add("meet-associative", (
-        f"x={lab(x)} y={lab(y)} z={lab(z)}"
-        for x in rng for y in rng for z in rng if mt[mt[x][y]][z] != mt[x][mt[y][z]]
-    ))
-    add("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x))
-    add("meet-idempotent", (f"x={lab(x)}" for x in rng if mt[x][x] != x))
-    add("absorption", (
-        f"x={lab(x)} y={lab(y)}"
-        for x in rng for y in rng if jn[x][mt[x][y]] != x or mt[x][jn[x][y]] != x
-    ))
-    add("bottom-least", (f"x={lab(x)}" for x in rng if jn[L.bot][x] != x))
-    add("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][L.top] != L.top))
-    add("comp-involution", (f"x={lab(x)}: comp(comp(x))={lab(cp[cp[x]])}" for x in rng if cp[cp[x]] != x))
-    add("comp-antitone", (
-        f"x={lab(x)} y={lab(y)}: comp(y)={lab(cp[y])} not below comp(x)={lab(cp[x])}"
-        for x in rng for y in rng if jn[x][y] == y and jn[cp[y]][cp[x]] != cp[x]
-    ))
-    add("complement-join", (f"x={lab(x)}: x v comp(x)={lab(jn[x][cp[x]])}" for x in rng if jn[x][cp[x]] != L.top))
-    add("complement-meet", (f"x={lab(x)}: x ^ comp(x)={lab(mt[x][cp[x]])}" for x in rng if mt[x][cp[x]] != L.bot))
-    add("de-morgan-join", (
-        f"x={lab(x)} y={lab(y)}"
-        for x in rng for y in rng if cp[jn[x][y]] != mt[cp[x]][cp[y]]
-    ))
-    add("de-morgan-meet", (
-        f"x={lab(x)} y={lab(y)}"
-        for x in rng for y in rng if cp[mt[x][y]] != jn[cp[x]][cp[y]]
-    ))
-    return CheckReport(subject="ortholattice", checks=tuple(checks))
+    checks = (
+        first_failure("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
+        first_failure("meet-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if mt[x][y] != mt[y][x])),
+        first_failure("join-associative", (
+            f"x={lab(x)} y={lab(y)} z={lab(z)}"
+            for x in rng for y in rng for z in rng if jn[jn[x][y]][z] != jn[x][jn[y][z]]
+        )),
+        first_failure("meet-associative", (
+            f"x={lab(x)} y={lab(y)} z={lab(z)}"
+            for x in rng for y in rng for z in rng if mt[mt[x][y]][z] != mt[x][mt[y][z]]
+        )),
+        first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
+        first_failure("meet-idempotent", (f"x={lab(x)}" for x in rng if mt[x][x] != x)),
+        first_failure("absorption", (
+            f"x={lab(x)} y={lab(y)}"
+            for x in rng for y in rng if jn[x][mt[x][y]] != x or mt[x][jn[x][y]] != x
+        )),
+        first_failure("bottom-least", (f"x={lab(x)}" for x in rng if jn[L.bot][x] != x)),
+        first_failure("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][L.top] != L.top)),
+        first_failure("comp-involution", (
+            f"x={lab(x)}: comp(comp(x))={lab(cp[cp[x]])}" for x in rng if cp[cp[x]] != x
+        )),
+        first_failure("comp-antitone", (
+            f"x={lab(x)} y={lab(y)}: comp(y)={lab(cp[y])} not below comp(x)={lab(cp[x])}"
+            for x in rng for y in rng if jn[x][y] == y and jn[cp[y]][cp[x]] != cp[x]
+        )),
+        first_failure("complement-join", (
+            f"x={lab(x)}: x v comp(x)={lab(jn[x][cp[x]])}" for x in rng if jn[x][cp[x]] != L.top
+        )),
+        first_failure("complement-meet", (
+            f"x={lab(x)}: x ^ comp(x)={lab(mt[x][cp[x]])}" for x in rng if mt[x][cp[x]] != L.bot
+        )),
+        first_failure("de-morgan-join", (
+            f"x={lab(x)} y={lab(y)}"
+            for x in rng for y in rng if cp[jn[x][y]] != mt[cp[x]][cp[y]]
+        )),
+        first_failure("de-morgan-meet", (
+            f"x={lab(x)} y={lab(y)}"
+            for x in rng for y in rng if cp[mt[x][y]] != jn[cp[x]][cp[y]]
+        )),
+    )
+    return CheckReport(subject="ortholattice", checks=checks)
 
 
 def interval(alg, p: int) -> tuple[int, ...]:
@@ -316,14 +319,21 @@ def find_interval_orthocomplementation(L: OrtholatticeTable, p: int) -> Interval
 
 
 def is_strong(L: OrtholatticeTable) -> StrongnessResult:
-    """Search every interval [p, 1] for an orthocomplementation.
+    """Find an orthocomplementation of every interval [p, 1].
 
-    Returns the full witness family, or the least p whose interval has none.
-    The stored family is what every derived structure uses afterwards; it is
-    never re-searched.
+    The lattice's own complement is the witness for [0, 1]; every other
+    interval is searched.  Returns the full witness family, or the least p
+    whose interval has none.  The stored family is what every derived
+    structure uses afterwards; it is never re-searched.
     """
     witnesses = []
     for p in range(L.n):
+        if p == L.bot:
+            w = IntervalWitness(p, tuple(L.comp))
+            if not validate_interval_witness(L, w):
+                return StrongnessResult(False, None, p)
+            witnesses.append(w)
+            continue
         try:
             witnesses.append(find_interval_orthocomplementation(L, p))
         except WitnessNotFound:
@@ -420,9 +430,7 @@ def order_filter_to_orthosemilattice(L: OrtholatticeTable, members, witnesses=No
 
 def _interval_glb(S: OrthosemilatticeTable, members, a: int, b: int) -> int | None:
     """Greatest lower bound of a, b within the given interval, or None."""
-    lows = [x for x in members if S.le(x, a) and S.le(x, b)]
-    greatest = [g for g in lows if all(S.le(x, g) for x in lows)]
-    return greatest[0] if greatest else None
+    return _least(lambda x, y: S.le(y, x), (x for x in members if S.le(x, a) and S.le(x, b)))
 
 
 def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
@@ -440,19 +448,6 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     jn = S.join
     lab = S.label
     rng = range(n)
-    checks: list[Check] = []
-
-    def add(name, fails):
-        first = next(fails, None)
-        checks.append(Check(name, first is None, first or ""))
-
-    add("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x]))
-    add("join-associative", (
-        f"x={lab(x)} y={lab(y)} z={lab(z)}"
-        for x in rng for y in rng for z in rng if jn[jn[x][y]][z] != jn[x][jn[y][z]]
-    ))
-    add("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x))
-    add("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][S.top] != S.top))
 
     def domain_fails():
         for p in rng:
@@ -471,26 +466,19 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
                 yield f"p={lab(p)}: image leaves the interval"
                 return
 
-    add("witness-domains", domain_fails())
+    checks = (
+        first_failure("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
+        first_failure("join-associative", (
+            f"x={lab(x)} y={lab(y)} z={lab(z)}"
+            for x in rng for y in rng for z in rng if jn[jn[x][y]][z] != jn[x][jn[y][z]]
+        )),
+        first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
+        first_failure("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][S.top] != S.top)),
+        first_failure("witness-domains", domain_fails()),
+    )
     if not checks[-1].passed:
         # the per-interval law checks below would just crash on a bad family
-        return CheckReport(subject="orthosemilattice", checks=tuple(checks))
-
-    add("witness-involution", (
-        f"p={lab(p)} a={lab(a)}"
-        for p in rng for a in interval(S, p) if S.witnesses[p].cmap[S.witnesses[p].cmap[a]] != a
-    ))
-    add("witness-antitone", (
-        f"p={lab(p)} a={lab(a)} b={lab(b)}"
-        for p in rng
-        for a in interval(S, p)
-        for b in interval(S, p)
-        if S.le(a, b) and not S.le(S.witnesses[p].cmap[b], S.witnesses[p].cmap[a])
-    ))
-    add("complement-join", (
-        f"p={lab(p)} a={lab(a)}"
-        for p in rng for a in interval(S, p) if jn[a][S.witnesses[p].cmap[a]] != S.top
-    ))
+        return CheckReport(subject="orthosemilattice", checks=checks)
 
     def lattice_fails():
         for p in rng:
@@ -500,8 +488,6 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
                     if _interval_glb(S, members, a, b) is None:
                         yield f"p={lab(p)}: {lab(a)} and {lab(b)} have no meet in the interval"
                         return
-
-    add("interval-lattice", lattice_fails())
 
     def demorgan_fails():
         for p in rng:
@@ -515,14 +501,32 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
                         yield f"p={lab(p)} a={lab(a)} b={lab(b)}: De Morgan meet {lab(got)}, order meet {want}"
                         return
 
-    add("interval-meet-de-morgan", demorgan_fails())
-    add("complement-meet", (
-        f"p={lab(p)} a={lab(a)}"
-        for p in rng
-        for a in interval(S, p)
-        if _interval_glb(S, interval(S, p), a, S.witnesses[p].cmap[a]) != p
-    ))
-    return CheckReport(subject="orthosemilattice", checks=tuple(checks))
+    checks += (
+        first_failure("witness-involution", (
+            f"p={lab(p)} a={lab(a)}"
+            for p in rng for a in interval(S, p) if S.witnesses[p].cmap[S.witnesses[p].cmap[a]] != a
+        )),
+        first_failure("witness-antitone", (
+            f"p={lab(p)} a={lab(a)} b={lab(b)}"
+            for p in rng
+            for a in interval(S, p)
+            for b in interval(S, p)
+            if S.le(a, b) and not S.le(S.witnesses[p].cmap[b], S.witnesses[p].cmap[a])
+        )),
+        first_failure("complement-join", (
+            f"p={lab(p)} a={lab(a)}"
+            for p in rng for a in interval(S, p) if jn[a][S.witnesses[p].cmap[a]] != S.top
+        )),
+        first_failure("interval-lattice", lattice_fails()),
+        first_failure("interval-meet-de-morgan", demorgan_fails()),
+        first_failure("complement-meet", (
+            f"p={lab(p)} a={lab(a)}"
+            for p in rng
+            for a in interval(S, p)
+            if _interval_glb(S, interval(S, p), a, S.witnesses[p].cmap[a]) != p
+        )),
+    )
+    return CheckReport(subject="orthosemilattice", checks=checks)
 
 
 def check_overlap_consistency(S: OrthosemilatticeTable) -> CheckReport:
@@ -549,6 +553,4 @@ def check_overlap_consistency(S: OrthosemilatticeTable) -> CheckReport:
                             )
                             return
 
-    first = next(fails(), None)
-    check = Check("overlap-meets", first is None, first or "")
-    return CheckReport(subject="orthosemilattice-overlap", checks=(check,))
+    return CheckReport(subject="orthosemilattice-overlap", checks=(first_failure("overlap-meets", fails()),))

@@ -55,8 +55,8 @@ class NoMeet(AlgebraError):
 
 
 class TooLarge(AlgebraError):
-    def __init__(self, n, limit):
-        super().__init__(f"carrier size {n} exceeds limit {limit} for this operation")
+    def __init__(self, n, limit, what="carrier size"):
+        super().__init__(f"{what} {n} exceeds limit {limit} for this operation")
         self.n = n
         self.limit = limit
 
@@ -135,37 +135,11 @@ class NotD2(AlgebraError):
         self.counterexample = counterexample
 
 
-class RelationNotReflexive(AlgebraError):
-    """Internal failure: the kernel relation missed a diagonal pair."""
+class InconsistentTable(AlgebraError):
+    """Internal failure: a subset passed D1 and D2, yet the congruence rebuilt from it is wrong."""
 
-    def __init__(self, x):
-        super().__init__(f"kernel relation not reflexive at {x}; input table is corrupt")
-        self.element = x
-
-
-class RelationNotTransitive(AlgebraError):
-    """Internal failure: the kernel relation is not transitive."""
-
-    def __init__(self, triple):
-        super().__init__(f"kernel relation not transitive at {triple}; input table is corrupt")
-        self.triple = triple
-
-
-class RelationNotCompatible(AlgebraError):
-    """Internal failure: the kernel relation is not compatible with the operation."""
-
-    def __init__(self, counterexample):
-        super().__init__(f"kernel relation not compatible at {counterexample}; input table is corrupt")
-        self.counterexample = counterexample
-
-
-class KernelMismatch(AlgebraError):
-    """Internal failure: the congruence built from a subset has a different kernel."""
-
-    def __init__(self, expected, got):
-        super().__init__(f"kernel mismatch: expected {sorted(expected)}, got {sorted(got)}")
-        self.expected = expected
-        self.got = got
+    def __init__(self, detail):
+        super().__init__(f"{detail}; input table is corrupt")
 
 
 class ArityMismatch(AlgebraError):

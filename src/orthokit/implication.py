@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import IntervalWitness, OrthosemilatticeTable, PosetTable, validate_orthosemilattice, validate_poset
+from .core import (
+    IntervalWitness,
+    OrthosemilatticeTable,
+    PosetTable,
+    _least,
+    validate_orthosemilattice,
+    validate_poset,
+)
 from .errors import (
     AlgebraError,
     BadIndex,
@@ -20,7 +27,7 @@ from .errors import (
     NotImplicationAlgebra,
     OutOfInterval,
 )
-from .report import Check, CheckReport
+from .report import Check, CheckReport, first_failure
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -89,26 +96,6 @@ def check_ioa_identities(T: ImplicationTable) -> CheckReport:
     n, B, one = T.n, T.bullet, T.one
     lab = T.label
     rng = range(n)
-    checks: list[Check] = []
-
-    def add(name, fails):
-        first = next(fails, None)
-        checks.append(Check(name, first is None, first or ""))
-
-    add("ident-a", (
-        f"x={lab(x)}"
-        for x in rng
-        if B[x][one] != one or B[x][x] != one or B[one][x] != x
-    ))
-    add("ident-b", (
-        f"x={lab(x)} y={lab(y)}: {lab(B[B[x][y]][y])} != {lab(B[B[y][x]][x])}"
-        for x in rng for y in rng if B[B[x][y]][y] != B[B[y][x]][x]
-    ))
-    add("ident-c", (
-        f"x={lab(x)} y={lab(y)} p={lab(p)}"
-        for x in rng for y in rng for p in rng
-        if B[B[B[B[x][y]][y]][p]][B[x][p]] != one
-    ))
 
     def d_fails():
         for x in rng:
@@ -125,16 +112,32 @@ def check_ioa_identities(T: ImplicationTable) -> CheckReport:
                 if B[B[B[a][p]][a]][a] != one:
                     yield f"p={lab(p)} a={lab(a)}"
 
-    add("ident-d", d_fails())
-    add("ident-d'", d_prime_fails())
+    checks = (
+        first_failure("ident-a", (
+            f"x={lab(x)}"
+            for x in rng
+            if B[x][one] != one or B[x][x] != one or B[one][x] != x
+        )),
+        first_failure("ident-b", (
+            f"x={lab(x)} y={lab(y)}: {lab(B[B[x][y]][y])} != {lab(B[B[y][x]][x])}"
+            for x in rng for y in rng if B[B[x][y]][y] != B[B[y][x]][x]
+        )),
+        first_failure("ident-c", (
+            f"x={lab(x)} y={lab(y)} p={lab(p)}"
+            for x in rng for y in rng for p in rng
+            if B[B[B[B[x][y]][y]][p]][B[x][p]] != one
+        )),
+        first_failure("ident-d", d_fails()),
+        first_failure("ident-d'", d_prime_fails()),
+    )
     d_ok = checks[-2].passed
     dp_ok = checks[-1].passed
-    checks.append(Check(
+    checks += (Check(
         "ident-d-agreement",
         d_ok == dp_ok,
         "" if d_ok == dp_ok else f"(d) {'passed' if d_ok else 'failed'} but (d') {'passed' if dp_ok else 'failed'}",
-    ))
-    return CheckReport(subject="implication-identities", checks=tuple(checks))
+    ),)
+    return CheckReport(subject="implication-identities", checks=checks)
 
 
 def require_implication_algebra(T: ImplicationTable) -> CheckReport:
@@ -163,13 +166,12 @@ def induced_order(T: ImplicationTable) -> PosetTable:
 def induced_join(T: ImplicationTable) -> Table:
     """Tabulate x v y := (x*y)*y and verify it is the lub of the induced order."""
     n, B = T.n, T.bullet
-    leq = induced_order(T).leq
+    order = induced_order(T)
+    leq = order.leq
     join = tuple(tuple(B[B[x][y]][y] for y in range(n)) for x in range(n))
     for x in range(n):
         for y in range(n):
-            j = join[x][y]
-            ubs = [k for k in range(n) if leq[x][k] and leq[y][k]]
-            if not leq[x][j] or not leq[y][j] or any(not leq[j][k] for k in ubs):
+            if _least(order.le, (k for k in range(n) if leq[x][k] and leq[y][k])) != join[x][y]:
                 raise NotAJoin(x, y)
     return join
 

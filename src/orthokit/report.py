@@ -16,6 +16,12 @@ class Check:
         return f"check {self.name} {status}" + (f" {self.detail}" if self.detail and not self.passed else "")
 
 
+def first_failure(name: str, fails) -> Check:
+    """A check that passes when `fails` yields nothing, else keeps its first item as detail."""
+    first = next(iter(fails), None)
+    return Check(name, first is None, first or "")
+
+
 @dataclass(frozen=True)
 class CheckReport:
     subject: str

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .congruence import KernelSet, congruence_closure, kernel
-from .errors import ArityMismatch, ParseError
+from .congruence import KernelSet, _d2_failure, check_d1, congruence_closure, kernel
+from .errors import ArityMismatch, ParseError, TooLarge
 from .implication import ImplicationTable
 from .report import Check, CheckReport, Verdict
+
+# Assignments an exhaustive term scan may visit; larger scans raise TooLarge up front.
+TERM_SCAN_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -130,12 +133,19 @@ def eval_term(T: ImplicationTable, term: Term, xs, ys) -> int:
     return _run(_program(term), T.bullet, T.one, tuple(xs), tuple(ys))
 
 
+def _check_scan_budget(T: ImplicationTable, term: Term, ysize: int) -> None:
+    work = T.n ** term.xarity * ysize ** term.yarity
+    if work > TERM_SCAN_LIMIT:
+        raise TooLarge(work, TERM_SCAN_LIMIT, "term scan size")
+
+
 def is_ideal_term(T: ImplicationTable, term: Term) -> Verdict:
     """Does the term evaluate to 1 whenever every y-variable is set to 1?
 
     The notion is relative to the algebra: the scan runs over all
     x-assignments of this carrier.  Witness of failure is the x-assignment.
     """
+    _check_scan_budget(T, term, 1)
     ones = (T.one,) * term.yarity
     prog = _program(term)
     B, one = T.bullet, T.one
@@ -168,6 +178,7 @@ def closed_under_term(T: ImplicationTable, I, term: Term) -> Verdict:
     members = frozenset(I)
     if not members:
         raise ValueError("closure checked against an empty subset")
+    _check_scan_budget(T, term, len(members))
     inside = sorted(members)
     prog = _program(term)
     B, one = T.bullet, T.one
@@ -219,41 +230,12 @@ def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:
     members = frozenset(I)
     terms = builtin_terms()
     closed = {name: bool(closed_under_term(T, members, terms[name])) for name in terms}
-    n, B = T.n, T.bullet
-
-    def d1_holds() -> bool:
-        for x in sorted(members):
-            for y in range(n):
-                xy = B[x][y]
-                for z in range(n):
-                    if B[y][z] in members and B[xy][z] not in members:
-                        return False
-        return True
-
-    def d2_left_holds() -> bool:
-        for x in range(n):
-            for y in range(n):
-                if B[x][y] not in members or B[y][x] not in members:
-                    continue
-                for z in range(n):
-                    if B[B[z][x]][B[z][y]] not in members:
-                        return False
-        return True
-
-    def d2_right_holds() -> bool:
-        for x in range(n):
-            for y in range(n):
-                if B[x][y] not in members or B[y][x] not in members:
-                    continue
-                for z in range(n):
-                    if B[B[x][z]][B[y][z]] not in members:
-                        return False
-        return True
-
     rows = [
-        ("t1-t2-t6-give-d1", closed["t1"] and closed["t2"] and closed["t6"], d1_holds),
-        ("t3-t4-t6-give-d2-left", closed["t3"] and closed["t4"] and closed["t6"], d2_left_holds),
-        ("t2-t5-t6-give-d2-right", closed["t2"] and closed["t5"] and closed["t6"], d2_right_holds),
+        ("t1-t2-t6-give-d1", closed["t1"] and closed["t2"] and closed["t6"], lambda: check_d1(T, members).ok),
+        ("t3-t4-t6-give-d2-left", closed["t3"] and closed["t4"] and closed["t6"],
+         lambda: _d2_failure(T, members, right=False) is None),
+        ("t2-t5-t6-give-d2-right", closed["t2"] and closed["t5"] and closed["t6"],
+         lambda: _d2_failure(T, members, left=False) is None),
     ]
     checks = []
     for name, hyp, concl in rows:
