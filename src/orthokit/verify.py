@@ -11,11 +11,13 @@ from . import catalog_io as cat
 from . import congruence as cong
 from . import terms as tms
 from .core import (
+    as_orthosemilattice,
     check_overlap_consistency,
     is_modular,
     is_orthomodular,
     is_strong,
     IntervalWitness,
+    StrongnessResult,
     validate_interval_witness,
     validate_ortholattice,
     validate_orthosemilattice,
@@ -37,9 +39,8 @@ def _comp_witness(L, p: int) -> IntervalWitness:
     return IntervalWitness(p=p, cmap=cmap)
 
 
-def _ortholattice_checks(name: str, L) -> list[Check]:
+def _ortholattice_checks(name: str, L, strong: StrongnessResult) -> list[Check]:
     checks = [Check(f"{name}: ortholattice-axioms", validate_ortholattice(L).ok)]
-    strong = is_strong(L)
 
     if name == "fig1_o6":
         a, b, one = _idx(L, "a"), _idx(L, "b"), L.top
@@ -183,12 +184,14 @@ def _subset_sweep_checks(name: str, T, kernels: set[frozenset[int]]) -> list[Che
 
 def entry_checks(entry: cat.CatalogEntry, seed: int = 0) -> list[Check]:
     if entry.kind == "ortholattice":
-        checks = _ortholattice_checks(entry.name, entry.payload)
-        if is_strong(entry.payload):
-            S = cat.semilattice(entry.name)
+        L = entry.payload
+        strong = is_strong(L)
+        checks = _ortholattice_checks(entry.name, L, strong)
+        if strong:
+            S = as_orthosemilattice(L, strong.witnesses)
             checks.extend(_semilattice_checks(entry.name, S))
             if entry.name in ("bool4", "bool8"):
-                checks.append(_boolean_reduct_check(entry.name, entry.payload, derive_bullet(S)))
+                checks.append(_boolean_reduct_check(entry.name, L, derive_bullet(S)))
         return checks
     if entry.kind == "orthosemilattice":
         return _semilattice_checks(entry.name, entry.payload)

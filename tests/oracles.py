@@ -94,7 +94,7 @@ def naive_is_congruence(T, P):
 
 
 def naive_eval(T, node, xs, ys):
-    """Recursive term evaluation, independent of the compiled interpreter."""
+    """Recursive term evaluation, independent of the value tables."""
     from orthokit.terms import Bullet, Const1, XVar, YVar
 
     if isinstance(node, Bullet):
@@ -105,6 +105,21 @@ def naive_eval(T, node, xs, ys):
         return xs[node.index]
     assert isinstance(node, YVar)
     return ys[node.index]
+
+
+def naive_first_outside(T, D, term):
+    """First (xs, ys, value) of a plain `product` scan whose value leaves D, or None.
+
+    x-values range over the carrier and y-values over sorted(D), as in the
+    definition of closure under a term.
+    """
+    members = frozenset(D)
+    for xs in product(range(T.n), repeat=term.xarity):
+        for ys in product(sorted(members), repeat=term.yarity):
+            value = naive_eval(T, term.root, xs, ys)
+            if value not in members:
+                return xs, ys, value
+    return None
 
 
 def subsets_containing(n, element):

@@ -1,9 +1,7 @@
 """The verify-theorems check lines of each catalog entry match the pinned seed-0 transcript.
 
 `golden/verify_all_seed0.txt` is the full stdout of
-`orthokit verify-theorems --all --seed 0`.  The three slowest entries are
-left to the end-to-end run; the ten checked here still cover every check
-kind, including the all-subsets sweep.
+`orthokit verify-theorems --all --seed 0`; every entry is checked here.
 """
 
 from pathlib import Path
@@ -13,7 +11,6 @@ import pytest
 from orthokit import catalog, verify
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all_seed0.txt"
-SLOW = ("bool8_reduct", "fig2_reduct", "fig2_filter_no0_reduct")
 
 
 def golden_lines(name):
@@ -21,7 +18,7 @@ def golden_lines(name):
             if line.startswith(f"check {name}: ")]
 
 
-@pytest.mark.parametrize("e", [e for e in catalog() if e.name not in SLOW], ids=lambda e: e.name)
+@pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
 def test_entry_checks_match_the_golden_transcript(e):
     assert [c.line() for c in verify.entry_checks(e, seed=0)] == golden_lines(e.name)
 
