@@ -2,8 +2,9 @@
 
 Partitions are canonicalized as least-representative arrays so that lists of
 congruences can be compared as plain sets.  Two enumeration routes exist: a
-brute-force filter over all set partitions (the oracle, guarded at n <= 10)
-and closure of the principal congruences under pairwise join.
+backtracking search over set partitions that cuts a branch at the first
+violated compatibility constraint (the oracle, guarded at n <= 10), and
+closure of the principal congruences under join with principal congruences.
 """
 
 from __future__ import annotations
@@ -138,48 +139,89 @@ def iter_partitions(n: int):
     yield from rec(1, (0,))
 
 
+def _constraints_by_level(T: ImplicationTable) -> list[list[tuple[int, int, int, int]]]:
+    """Every nontrivial a~b => u~v with u, v = a*c, b*c or c*a, c*b (a < b), filed under max(b, u, v).
+
+    A partition is a congruence iff it meets all of them, and each one can be
+    decided as soon as the elements up to its level have been placed.
+    """
+    n, B = T.n, T.bullet
+    levels: list[set] = [set() for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                for u, v in ((B[a][c], B[b][c]), (B[c][a], B[c][b])):
+                    if u != v:
+                        levels[max(b, u, v)].add((a, b, min(u, v), max(u, v)))
+    return [sorted(level) for level in levels]
+
+
 def all_congruences_bruteforce(T: ImplicationTable) -> list[Partition]:
-    """Filter every partition of the carrier; the oracle the closure method is held to."""
-    if T.n > BRUTE_FORCE_LIMIT:
-        raise TooLarge(T.n, BRUTE_FORCE_LIMIT)
-    found = [Partition(rep) for rep in iter_partitions(T.n) if congruence_violation(T, Partition(rep)) is None]
+    """Every congruence, by a search over set partitions; the oracle the closure method is held to.
+
+    Elements are placed in the order of `iter_partitions`, and a branch is cut
+    at the first compatibility constraint its placed elements violate.  The
+    search uses no congruence closure, so it stays independent of
+    `congruence_lattice`.
+    """
+    n = T.n
+    if n > BRUTE_FORCE_LIMIT:
+        raise TooLarge(n, BRUTE_FORCE_LIMIT)
+    if n == 0:
+        return []
+    levels = _constraints_by_level(T)
+    rep = [0] * n
+    found = []
+
+    def place(i: int, firsts: tuple[int, ...]) -> None:
+        if i == n:
+            found.append(Partition(tuple(rep)))
+            return
+        for f in firsts + (i,):
+            rep[i] = f
+            if all(rep[a] != rep[b] or rep[u] == rep[v] for a, b, u, v in levels[i]):
+                place(i + 1, firsts if f < i else firsts + (i,))
+
+    place(1, (0,))
     found.sort(key=Partition.sort_key)
     return found
 
 
-def congruence_closure(T: ImplicationTable, pairs) -> Partition:
-    """Least congruence merging the given pairs.
+def _close(T: ImplicationTable, rep: list[int], pending: list[tuple[int, int]]) -> Partition:
+    """Merge the pending pairs into the classes of `rep` until the result is compatible.
 
-    Union-find plus a worklist: each time x and y actually merge, the pairs
-    (x*z, y*z) and (z*x, z*y) are queued for every z, until fixpoint.
+    rep[x] labels x's class and the smaller class is relabeled on a merge.
+    Each time x and y actually merge, the pairs (x*z, y*z) and (z*x, z*y)
+    are queued for every z.
     """
     n, B = T.n, T.bullet
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pending = [(a, b) for a, b in pairs]
     for a, b in pending:
         if not (0 <= a < n and 0 <= b < n):
             raise BadIndex((a, b), n)
+    cols = list(zip(*B))
+    members: dict[int, list[int]] = {}
+    for x, r in enumerate(rep):
+        members.setdefault(r, []).append(x)
     while pending:
         x, y = pending.pop()
-        rx, ry = find(x), find(y)
+        rx, ry = rep[x], rep[y]
         if rx == ry:
             continue
-        parent[max(rx, ry)] = min(rx, ry)
-        for z in range(n):
-            pending.append((B[x][z], B[y][z]))
-            pending.append((B[z][x], B[z][y]))
-    roots = [find(x) for x in range(n)]
-    least: dict[int, int] = {}
-    for x in range(n):
-        least.setdefault(roots[x], x)
-    return Partition(tuple(least[roots[x]] for x in range(n)))
+        if len(members[rx]) < len(members[ry]):
+            rx, ry = ry, rx
+        moved = members.pop(ry)
+        for z in moved:
+            rep[z] = rx
+        members[rx] += moved
+        pending.extend(zip(B[x], B[y]))
+        pending.extend(zip(cols[x], cols[y]))
+    least = {r: min(block) for r, block in members.items()}
+    return Partition(tuple(least[r] for r in rep))
+
+
+def congruence_closure(T: ImplicationTable, pairs) -> Partition:
+    """Least congruence merging the given pairs: class merging plus a worklist, from the identity."""
+    return _close(T, list(range(T.n)), [(a, b) for a, b in pairs])
 
 
 def principal_congruence(T: ImplicationTable, a: int, b: int) -> Partition:
@@ -188,29 +230,43 @@ def principal_congruence(T: ImplicationTable, a: int, b: int) -> Partition:
 
 
 def congruence_join(T: ImplicationTable, P: Partition, Q: Partition) -> Partition:
-    pairs = [(block[0], x) for part in (P, Q) for block in part.blocks() for x in block[1:]]
-    return congruence_closure(T, pairs)
+    """Least congruence containing the congruence P and the partition Q.
+
+    The class merging starts from P's blocks and queues only Q's pairs; P's
+    own compatibility consequences need no queueing because P is a congruence.
+    """
+    if P.n != T.n:
+        raise BadIndex(P.n, T.n)
+    pairs = [(block[0], x) for block in Q.blocks() for x in block[1:]]
+    return _close(T, list(P.rep), pairs)
 
 
 def congruence_lattice(T: ImplicationTable) -> list[Partition]:
-    """All congruences via closure of the principal ones under pairwise join."""
+    """All congruences: the principal ones, closed under join with a principal one.
+
+    Every congruence is a join of principal congruences, so joining each known
+    congruence P with every principal Θ(a, b) not already below it (a and b
+    in different blocks of P) reaches them all.
+    """
     n = T.n
-    known = {Partition.identity(n)}
+    principals: dict[Partition, tuple[int, int]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            known.add(principal_congruence(T, a, b))
-    frontier = list(known)
+            principals.setdefault(principal_congruence(T, a, b), (a, b))
+    known = {Partition.identity(n), *principals}
+    frontier = list(principals)
     while frontier:
         fresh = []
         for P in frontier:
-            for Q in list(known):
+            for Q, (a, b) in principals.items():
+                if P.rep[a] == P.rep[b]:
+                    continue
                 j = congruence_join(T, P, Q)
                 if j not in known:
                     known.add(j)
                     fresh.append(j)
         frontier = fresh
-    out = sorted(known, key=Partition.sort_key)
-    return out
+    return sorted(known, key=Partition.sort_key)
 
 
 def kernel(T: ImplicationTable, P: Partition) -> KernelSet:

@@ -263,10 +263,27 @@ class IdealCheck:
         return self.ok
 
 
+def _builtin_closures(T: ImplicationTable, I):
+    """Closure of one subset under t1..t6 by name, each decided on first use and then remembered."""
+    terms = builtin_terms()
+    verdicts: dict[str, Verdict] = {}
+
+    def closed(name: str) -> Verdict:
+        if name not in verdicts:
+            verdicts[name] = closed_under_term(T, I, terms[name])
+        return verdicts[name]
+
+    return closed
+
+
 def is_ideal_by_terms(T: ImplicationTable, I) -> IdealCheck:
     """A nonempty subset is an ideal iff it is closed under t1..t6, checked in order."""
-    for name, term in builtin_terms().items():
-        v = closed_under_term(T, I, term)
+    return _ideal_check(_builtin_closures(T, I))
+
+
+def _ideal_check(closed) -> IdealCheck:
+    for name in builtin_terms():
+        v = closed(name)
         if not v:
             return IdealCheck(False, name, v.witness)
     return IdealCheck(True)
@@ -293,17 +310,17 @@ def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:
     term the subset is not closed under; each term is checked at most once.
     """
     members = frozenset(I)
-    terms = builtin_terms()
-    closed: dict[str, bool] = {}
+    return _lemma_chain(T, members, _builtin_closures(T, members))
 
-    def hypothesis(names) -> bool:
-        for name in names:
-            if name not in closed:
-                closed[name] = bool(closed_under_term(T, members, terms[name]))
-            if not closed[name]:
-                return False
-        return True
 
+def _ideal_and_lemma_chain(T: ImplicationTable, I) -> tuple[IdealCheck, CheckReport]:
+    """`is_ideal_by_terms` and `check_lemma_chain` of one subset, deciding each closure at most once."""
+    members = frozenset(I)
+    closed = _builtin_closures(T, members)
+    return _ideal_check(closed), _lemma_chain(T, members, closed)
+
+
+def _lemma_chain(T: ImplicationTable, members: frozenset[int], closed) -> CheckReport:
     rows = [
         ("t1-t2-t6-give-d1", ("t6", "t1", "t2"), lambda: check_d1(T, members).ok),
         ("t3-t4-t6-give-d2-left", ("t6", "t3", "t4"), lambda: _d2_failure(T, members, right=False) is None),
@@ -311,7 +328,7 @@ def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:
     ]
     checks = []
     for name, hyp, concl in rows:
-        if not hypothesis(hyp):
+        if not all(closed(term) for term in hyp):
             checks.append(Check(name, True, "hypothesis closure does not hold"))
         elif concl():
             checks.append(Check(name, True))

@@ -24,7 +24,7 @@ from .core import (
 )
 from .errors import AlgebraError
 from .implication import check_ioa_identities, derive_bullet, reconstruct_orthosemilattice
-from .report import Check
+from .report import Check, first_failure
 
 SWEEP_LIMIT = 8  # all 2^(n-1) subsets are scanned below this carrier size
 RANDOM_TERM_COUNT = 20
@@ -129,12 +129,23 @@ def _reduct_checks(name: str, T, seed: int) -> list[Check]:
     kernels = {cong.kernel(T, P).members for P in lattice}
     if n <= cong.BRUTE_FORCE_LIMIT:
         brute = cong.all_congruences_bruteforce(T)
-        checks.append(Check(f"{name}: closure and brute-force congruences agree",
-                            set(brute) == set(lattice)))
-        checks.append(Check(f"{name}: kernel map injective", cong.verify_kernel_injectivity(T).ok))
+        differ = sorted(set(brute) ^ set(lattice), key=cong.Partition.sort_key)
+        checks.append(first_failure(
+            f"{name}: closure and brute-force congruences agree",
+            (f"{P.blocks()} found only by {'closure' if P in lattice else 'brute force'}" for P in differ),
+        ))
+        inj = cong.verify_kernel_injectivity(T)
+        detail = ""
+        if not inj.ok:
+            P, Q = inj.witness
+            detail = f"{P.blocks()} and {Q.blocks()} share the kernel {sorted(cong.kernel(T, P).members)}"
+        checks.append(Check(f"{name}: kernel map injective", inj.ok, detail))
     else:
-        ok = all(cong.is_congruence(T, P) for P in lattice)
-        checks.append(Check(f"{name}: every closure congruence is compatible", ok))
+        checks.append(first_failure(
+            f"{name}: every closure congruence is compatible",
+            (f"{P.blocks()} violated at {v}"
+             for P in lattice if (v := cong.congruence_violation(T, P)) is not None),
+        ))
 
     builtins = tms.builtin_terms()
     ok = all(tms.is_ideal_term(T, t) for t in builtins.values())
@@ -167,10 +178,11 @@ def _subset_sweep_checks(name: str, T, kernels: set[frozenset[int]]) -> list[Che
         if not (rules == is_kernel == theta):
             rules_ok = False
             rules_fail = rules_fail or sorted(D)
-        if bool(tms.is_ideal_by_terms(T, D)) != is_kernel:
+        ideal, chain = tms._ideal_and_lemma_chain(T, D)
+        if bool(ideal) != is_kernel:
             closure_ok = False
             closure_fail = closure_fail or sorted(D)
-        if not tms.check_lemma_chain(T, D).ok:
+        if not chain.ok:
             chain_ok = False
     checks = [
         Check(f"{name}: D1+D2 = kernel = rebuilt congruence, all subsets", rules_ok,
