@@ -63,6 +63,7 @@ from .terms import (
     YVar,
     builtin_terms,
     check_lemma_chain,
+    closed_subsets,
     closed_under_term,
     eval_term,
     ideal_closure,

@@ -228,7 +228,9 @@ def cmd_ideals(args) -> int:
         for i, K in enumerate(kernels):
             rep.info(f"ideal {i}: {_fmt_set(T, K)}")
         if T.n <= verify.SWEEP_LIMIT:
-            swept = [D for D in cong.subsets_with_one(T) if tms.is_ideal_by_terms(T, D)]
+            subsets = list(cong.subsets_with_one(T))
+            closed = [tms.closed_subsets(T, subsets, term) for term in tms.builtin_terms().values()]
+            swept = [D for D, *oks in zip(subsets, *closed) if all(oks)]
             rep.check(Check("ideals-match-kernels", set(swept) == set(kernels),
                             f"swept={len(swept)} kernels={len(kernels)}"))
 

@@ -7,12 +7,20 @@ while y-variables range over the subset only.
 
 Text syntax is a prefix S-expression: `1`, `x<i>`, `y<j>`, and `(b t u)`
 for the binary operation, e.g. `(b (b y0 (b y1 x0)) x0)`.
+
+Closure is decided from value tables built by `_tabulate`.  For one subset,
+`closed_under_term` tabulates with y over that subset and decodes the first
+failing assignment as its witness.  For many subsets, `closed_subsets` builds
+one table with y over their union and reads each y-assignment's values as
+the Horn clause "ys inside D implies these values inside D"; it answers
+every subset from those clauses, without witnesses.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .congruence import KernelSet, _d2_failure, check_d1, congruence_closure, kernel
 from .errors import ArityMismatch, ParseError, TooLarge
@@ -224,8 +232,7 @@ def is_ideal_term(T: ImplicationTable, term: Term) -> Verdict:
     return Verdict(True) if miss is None else Verdict(False, miss[0])
 
 
-def builtin_terms() -> dict[str, Term]:
-    """The six closure terms t1..t6 that characterize ideals."""
+def _make_builtin_terms() -> dict[str, Term]:
     x0, x1, x2 = XVar(0), XVar(1), XVar(2)
     y0, y1 = YVar(0), YVar(1)
     b = Bullet
@@ -237,6 +244,14 @@ def builtin_terms() -> dict[str, Term]:
         "t5": Term(b(b(b(x0, x1), b(b(y0, x2), x1)), b(b(x0, x1), b(x2, x1))), 3, 1),
         "t6": Term(b(b(y0, b(y1, x0)), x0), 1, 2),
     }
+
+
+_BUILTIN_TERMS = _make_builtin_terms()
+
+
+def builtin_terms() -> dict[str, Term]:
+    """The six closure terms t1..t6 that characterize ideals, as a fresh dict over shared terms."""
+    return dict(_BUILTIN_TERMS)
 
 
 def closed_under_term(T: ImplicationTable, I, term: Term) -> Verdict:
@@ -253,6 +268,46 @@ def closed_under_term(T: ImplicationTable, I, term: Term) -> Verdict:
     return Verdict(True) if miss is None else Verdict(False, miss)
 
 
+def closed_subsets(T: ImplicationTable, subsets, term: Term) -> tuple[bool, ...]:
+    """Closure of every subset under one term, decided from a single table.
+
+    The table has y over the union U of the subsets.  Its values at one
+    assignment ys of the y-variables the term uses, over all x-assignments,
+    fold into one bitmask: the Horn clause "ys inside D implies the mask
+    inside D".  A subset is closed exactly when every clause whose ys lie in
+    it keeps its mask inside it.  Each verdict equals
+    `bool(closed_under_term(T, D, term))`; no witnesses are kept.
+    """
+    sets = [frozenset(D) for D in subsets]
+    if not all(sets):
+        raise ValueError("closure checked against an empty subset")
+    if not sets:
+        return ()
+    union = sorted(frozenset().union(*sets))
+    _check_scan_budget(T, term, len(union))
+    vs, values = _tabulate(T, term, union)
+    # y-variables come last in the table, so one y-assignment's values are a stride slice
+    yvars = sum(v >= term.xarity for v in vs)
+    stride = len(union) ** yvars
+    clauses: dict[int, int] = {}
+    for j, ys in enumerate(product(union, repeat=yvars)):
+        need = _mask(ys)
+        clauses[need] = clauses.get(need, 0) | _mask(set(values[j::stride])) & ~need
+    clauses = {need: gives for need, gives in clauses.items() if gives}
+    verdicts = []
+    for D in sets:
+        outside = ~_mask(D)
+        verdicts.append(not any(gives & outside for need, gives in clauses.items() if not need & outside))
+    return tuple(verdicts)
+
+
+def _mask(elements) -> int:
+    bits = 0
+    for e in elements:
+        bits |= 1 << e
+    return bits
+
+
 @dataclass(frozen=True)
 class IdealCheck:
     ok: bool
@@ -263,27 +318,10 @@ class IdealCheck:
         return self.ok
 
 
-def _builtin_closures(T: ImplicationTable, I):
-    """Closure of one subset under t1..t6 by name, each decided on first use and then remembered."""
-    terms = builtin_terms()
-    verdicts: dict[str, Verdict] = {}
-
-    def closed(name: str) -> Verdict:
-        if name not in verdicts:
-            verdicts[name] = closed_under_term(T, I, terms[name])
-        return verdicts[name]
-
-    return closed
-
-
 def is_ideal_by_terms(T: ImplicationTable, I) -> IdealCheck:
     """A nonempty subset is an ideal iff it is closed under t1..t6, checked in order."""
-    return _ideal_check(_builtin_closures(T, I))
-
-
-def _ideal_check(closed) -> IdealCheck:
-    for name in builtin_terms():
-        v = closed(name)
+    for name, term in _BUILTIN_TERMS.items():
+        v = closed_under_term(T, I, term)
         if not v:
             return IdealCheck(False, name, v.witness)
     return IdealCheck(True)
@@ -310,14 +348,14 @@ def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:
     term the subset is not closed under; each term is checked at most once.
     """
     members = frozenset(I)
-    return _lemma_chain(T, members, _builtin_closures(T, members))
+    verdicts: dict[str, bool] = {}
 
+    def closed(name: str) -> bool:
+        if name not in verdicts:
+            verdicts[name] = closed_under_term(T, members, _BUILTIN_TERMS[name]).ok
+        return verdicts[name]
 
-def _ideal_and_lemma_chain(T: ImplicationTable, I) -> tuple[IdealCheck, CheckReport]:
-    """`is_ideal_by_terms` and `check_lemma_chain` of one subset, deciding each closure at most once."""
-    members = frozenset(I)
-    closed = _builtin_closures(T, members)
-    return _ideal_check(closed), _lemma_chain(T, members, closed)
+    return _lemma_chain(T, members, closed)
 
 
 def _lemma_chain(T: ImplicationTable, members: frozenset[int], closed) -> CheckReport:

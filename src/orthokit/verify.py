@@ -148,15 +148,28 @@ def _reduct_checks(name: str, T, seed: int) -> list[Check]:
         ))
 
     builtins = tms.builtin_terms()
-    ok = all(tms.is_ideal_term(T, t) for t in builtins.values())
-    checks.append(Check(f"{name}: t1..t6 are ideal terms", ok))
+    checks.append(first_failure(
+        f"{name}: t1..t6 are ideal terms",
+        (f"{t} fails at x-assignment {v.witness}"
+         for t, term in builtins.items() if not (v := tms.is_ideal_term(T, term))),
+    ))
 
-    ok = all(tms.is_ideal_by_terms(T, K) for K in kernels)
-    checks.append(Check(f"{name}: every kernel closed under t1..t6", ok))
+    ordered = sorted(kernels, key=lambda k: (len(k), sorted(k)))
+    closed = [tms.closed_subsets(T, ordered, term) for term in builtins.values()]
+    checks.append(first_failure(
+        f"{name}: every kernel closed under t1..t6",
+        (f"kernel {sorted(K)} not closed under {tms.is_ideal_by_terms(T, K).failing_term}"
+         for K, *oks in zip(ordered, *closed) if not all(oks)),
+    ))
 
     rand = tms.random_ideal_terms(T, RANDOM_TERM_COUNT, seed=seed)
-    ok = all(bool(tms.closed_under_term(T, K, t)) for K in kernels for t in rand)
-    checks.append(Check(f"{name}: every kernel closed under {RANDOM_TERM_COUNT} random ideal terms", ok))
+    closed = [tms.closed_subsets(T, ordered, t) for t in rand]
+    checks.append(first_failure(
+        f"{name}: every kernel closed under {RANDOM_TERM_COUNT} random ideal terms",
+        (f"kernel {sorted(K)} not closed under {tms.serialize_term(t)}:"
+         f" witness {tms.closed_under_term(T, K, t).witness}"
+         for i, K in enumerate(ordered) for t, oks in zip(rand, closed) if not oks[i]),
+    ))
 
     if n <= SWEEP_LIMIT:
         checks.extend(_subset_sweep_checks(name, T, kernels))
@@ -167,7 +180,9 @@ def _subset_sweep_checks(name: str, T, kernels: set[frozenset[int]]) -> list[Che
     """Scan every subset containing 1 and compare all three ideal criteria."""
     rules_ok = closure_ok = chain_ok = True
     rules_fail = closure_fail = None
-    for D in cong.subsets_with_one(T):
+    subsets = list(cong.subsets_with_one(T))
+    closed = {t: tms.closed_subsets(T, subsets, term) for t, term in tms.builtin_terms().items()}
+    for i, D in enumerate(subsets):
         rules = bool(cong.check_d1(T, D)) and bool(cong.check_d2(T, D))
         is_kernel = D in kernels
         try:
@@ -178,11 +193,10 @@ def _subset_sweep_checks(name: str, T, kernels: set[frozenset[int]]) -> list[Che
         if not (rules == is_kernel == theta):
             rules_ok = False
             rules_fail = rules_fail or sorted(D)
-        ideal, chain = tms._ideal_and_lemma_chain(T, D)
-        if bool(ideal) != is_kernel:
+        if all(oks[i] for oks in closed.values()) != is_kernel:
             closure_ok = False
             closure_fail = closure_fail or sorted(D)
-        if not chain.ok:
+        if not tms._lemma_chain(T, D, lambda t: closed[t][i]).ok:
             chain_ok = False
     checks = [
         Check(f"{name}: D1+D2 = kernel = rebuilt congruence, all subsets", rules_ok,
