@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Time the order layers on Boolean 2^k and on every principal filter of one families pass.
+
+Boolean 2^k comes from `perfbench/families.py`.  `is_strong` refuses carriers
+above 16 elements, so its interval witnesses are the relative complements
+x -> comp(x) v p, each checked with `validate_interval_witness`.  Every time
+is the best of `reps` in-process calls, in seconds; `reconstruct` includes
+the identities, `induced_join` and the validator.
+
+Usage: PYTHONPATH=src python3 scripts/layer_timings.py <k> [reps]
+       PYTHONPATH=src python3 scripts/layer_timings.py --families <seed> [reps]
+"""
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import families  # noqa: E402
+import workloads  # noqa: E402
+from orthokit import catalog_io, core  # noqa: E402
+from orthokit import implication as imp  # noqa: E402
+
+
+def best(f, reps):
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        f()
+        times.append(time.perf_counter() - t0)
+    return round(min(times), 4)
+
+
+def boolean(k, reps):
+    m = families.boolean(k)
+    lines = ["olat 1", f"n {m.n}"] + [f"le {i} {j}" for i, j in m.covers]
+    lines += [f"comp {i} {m.comp[i]}" for i in range(m.n) if i <= m.comp[i]]
+    L = catalog_io.parse_olat("\n".join(lines) + "\n")
+    witnesses = []
+    for p in range(L.n):
+        w = core.IntervalWitness(p, tuple(L.join[L.comp[x]][p] if L.le(p, x) else None for x in range(L.n)))
+        if not core.validate_interval_witness(L, w):
+            raise SystemExit(f"relative complement is no witness at p={p}")
+        witnesses.append(w)
+    S = core.as_orthosemilattice(L, witnesses)
+    T = imp.derive_bullet(S)
+    P = L.poset()
+    return {
+        "n": L.n,
+        "lattice_from_order_s": best(lambda: core.lattice_from_order(P), reps),
+        "validate_orthosemilattice_s": best(lambda: core.validate_orthosemilattice(S), reps),
+        "reconstruct_s": best(lambda: imp.reconstruct_orthosemilattice(T), reps),
+        "overlap_s": best(lambda: core.check_overlap_consistency(S), reps),
+        "identities_s": best(lambda: imp.check_ioa_identities(T), reps),
+        "induced_join_s": best(lambda: imp.induced_join(T), reps),
+    }
+
+
+def families_pass(seed, reps):
+    filters = []
+    for model in workloads.prepare_families(seed, 0, None, {})["models"]:
+        L = catalog_io.parse_olat(model["olat"])
+        strong = core.is_strong(L)
+        if not strong:
+            continue
+        S = core.as_orthosemilattice(L, strong.witnesses)
+        filters += [core.restrict_to_filter(S, [x for x in range(S.n) if S.le(p, x)]) for p in range(S.n)]
+    tables = [imp.derive_bullet(F) for F in filters]
+    return {
+        "filters": len(filters),
+        "validate_orthosemilattice_s": best(lambda: [core.validate_orthosemilattice(F) for F in filters], reps),
+        "reconstruct_s": best(lambda: [imp.reconstruct_orthosemilattice(T) for T in tables], reps),
+        "overlap_s": best(lambda: [core.check_overlap_consistency(F) for F in filters], reps),
+    }
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    if args and args[0] == "--families":
+        print(families_pass(int(args[1]), int(args[2]) if len(args) > 2 else 5))
+    else:
+        print(boolean(int(args[0]), int(args[1]) if len(args) > 1 else 3))

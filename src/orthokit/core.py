@@ -141,12 +141,32 @@ def validate_poset(leq) -> PosetTable:
     return PosetTable(n, rows)
 
 
-def _least(le, candidates) -> int | None:
-    """The candidate below every other candidate under le, or None."""
-    cands = list(candidates)
-    for c in cands:
-        if all(le(c, v) for v in cands):
+def _bits(mask: int):
+    """Indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(row) -> int:
+    """Bitset of the positions where a boolean row is true."""
+    return sum(1 << j for j, v in enumerate(row) if v)
+
+
+def _least(cands: int, up) -> int | None:
+    """The first candidate, in ascending order, whose up-set up[c] holds every candidate, or None.
+
+    cands is a bitset of indices and up[c] the bitset of elements above c.
+    Given down-sets instead, it finds the greatest candidate.
+    """
+    rest = cands
+    while rest:
+        low = rest & -rest
+        c = low.bit_length() - 1
+        if not cands & ~up[c]:
             return c
+        rest ^= low
     return None
 
 
@@ -154,23 +174,30 @@ def lattice_from_order(poset: PosetTable) -> tuple[Table, Table, int, int]:
     """Compute (join, meet, bot, top) by scanning bound sets, or raise naming the bad pair.
 
     Top and bottom are checked first, so a missing extremum is reported as
-    such rather than as some arbitrary unjoinable pair.
+    such rather than as some arbitrary unjoinable pair.  Both bound sets of
+    (i, j) are those of (j, i), so each pair below the diagonal is copied.
     """
     n, leq = poset.n, poset.leq
-    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
+    up = [_mask(row) for row in leq]
+    down = [_mask(col) for col in zip(*leq)]
+    full = (1 << n) - 1
+    tops = [i for i in range(n) if down[i] == full]
     if not tops:
         raise NoTop()
-    bots = [i for i in range(n) if all(leq[i][j] for j in range(n))]
+    bots = [i for i in range(n) if up[i] == full]
     if not bots:
         raise NoBottom()
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            join[i][j] = _least(poset.le, (k for k in range(n) if leq[i][k] and leq[j][k]))
+        for j in range(i):
+            join[i][j] = join[j][i]
+            meet[i][j] = meet[j][i]
+        for j in range(i, n):
+            join[i][j] = _least(up[i] & up[j], up)
             if join[i][j] is None:
                 raise NoJoin(i, j)
-            meet[i][j] = _least(lambda a, b: leq[b][a], (k for k in range(n) if leq[k][i] and leq[k][j]))
+            meet[i][j] = _least(down[i] & down[j], down)
             if meet[i][j] is None:
                 raise NoMeet(i, j)
     return tuple(map(tuple, join)), tuple(map(tuple, meet)), bots[0], tops[0]
@@ -428,9 +455,30 @@ def order_filter_to_orthosemilattice(L: OrtholatticeTable, members, witnesses=No
     return restrict_to_filter(as_orthosemilattice(L, witnesses), members)
 
 
-def _interval_glb(S: OrthosemilatticeTable, members, a: int, b: int) -> int | None:
-    """Greatest lower bound of a, b within the given interval, or None."""
-    return _least(lambda x, y: S.le(y, x), (x for x in members if S.le(x, a) and S.le(x, b)))
+def _order_masks(join) -> tuple[list[int], list[int]]:
+    """Up-set and down-set bitsets of every element, a <= b meaning a v b = b as in `le`."""
+    leq = [[row[b] == b for b in range(len(row))] for row in join]
+    return [_mask(row) for row in leq], [_mask(col) for col in zip(*leq)]
+
+
+def interval_meets(S: OrthosemilatticeTable) -> list[dict[int, list[int | None]]]:
+    """meets[p][a][b]: the greatest lower bound of a and b inside [p, 1], or None.
+
+    Rows exist for the a in [p, 1] and entries for the b in [p, 1].  Each
+    entry is one bound scan over the down-sets; (b, a) copies (a, b).
+    """
+    up, down = _order_masks(S.join)
+    meets = []
+    for p in range(S.n):
+        members = tuple(_bits(up[p]))
+        rows: dict[int, list[int | None]] = {}
+        for a in members:
+            row = rows[a] = [None] * S.n
+            low = up[p] & down[a]
+            for b in members:
+                row[b] = rows[b][a] if b < a else _least(low & down[b], down)
+        meets.append(rows)
+    return meets
 
 
 def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
@@ -439,6 +487,8 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     Each interval [p, 1] must be a lattice under the induced order, the
     witness must be an orthocomplementation of it, and its De Morgan meet
     (comp(a) v comp(b)) complemented must agree with the order-theoretic meet.
+    The order meets of each interval are tabulated once and shared by the
+    checks that read them.
     """
     n = S.n
     if n < 1 or len(S.join) != n or any(len(r) != n for r in S.join) or len(S.witnesses) != n:
@@ -448,6 +498,19 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     jn = S.join
     lab = S.label
     rng = range(n)
+    up, _ = _order_masks(jn)
+    intervals = [tuple(_bits(up[p])) for p in rng]
+
+    def assoc_fails():
+        rows = [tuple(row) for row in jn]
+        for x in rng:
+            jx = rows[x]
+            for y in rng:
+                # row x v y against x v (y v z), all z at once
+                if rows[jx[y]] != tuple(map(jx.__getitem__, rows[y])):
+                    z = next(z for z in rng if rows[jx[y]][z] != jx[rows[y][z]])
+                    yield f"x={lab(x)} y={lab(y)} z={lab(z)}"
+                    return
 
     def domain_fails():
         for p in rng:
@@ -458,7 +521,7 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
             if len(w.cmap) != n:
                 yield f"p={lab(p)}: cmap length {len(w.cmap)}"
                 return
-            members = interval(S, p)
+            members = intervals[p]
             if w.domain() != members:
                 yield f"p={lab(p)}: domain {w.domain()} != interval {members}"
                 return
@@ -468,10 +531,7 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
 
     checks = (
         first_failure("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
-        first_failure("join-associative", (
-            f"x={lab(x)} y={lab(y)} z={lab(z)}"
-            for x in rng for y in rng for z in rng if jn[jn[x][y]][z] != jn[x][jn[y][z]]
-        )),
+        first_failure("join-associative", assoc_fails()),
         first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
         first_failure("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][S.top] != S.top)),
         first_failure("witness-domains", domain_fails()),
@@ -480,23 +540,24 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
         # the per-interval law checks below would just crash on a bad family
         return CheckReport(subject="orthosemilattice", checks=checks)
 
+    meets = interval_meets(S)
+    cmaps = [S.witnesses[p].cmap for p in rng]
+
     def lattice_fails():
         for p in rng:
-            members = interval(S, p)
-            for a in members:
-                for b in members:
-                    if _interval_glb(S, members, a, b) is None:
+            for a in intervals[p]:
+                for b in intervals[p]:
+                    if meets[p][a][b] is None:
                         yield f"p={lab(p)}: {lab(a)} and {lab(b)} have no meet in the interval"
                         return
 
     def demorgan_fails():
         for p in rng:
-            w = S.witnesses[p].cmap
-            members = interval(S, p)
-            for a in members:
-                for b in members:
+            w = cmaps[p]
+            for a in intervals[p]:
+                for b in intervals[p]:
                     got = w[jn[w[a]][w[b]]]
-                    want = _interval_glb(S, members, a, b)
+                    want = meets[p][a][b]
                     if got != want:
                         yield f"p={lab(p)} a={lab(a)} b={lab(b)}: De Morgan meet {lab(got)}, order meet {want}"
                         return
@@ -504,26 +565,24 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     checks += (
         first_failure("witness-involution", (
             f"p={lab(p)} a={lab(a)}"
-            for p in rng for a in interval(S, p) if S.witnesses[p].cmap[S.witnesses[p].cmap[a]] != a
+            for p in rng for a in intervals[p] if cmaps[p][cmaps[p][a]] != a
         )),
         first_failure("witness-antitone", (
             f"p={lab(p)} a={lab(a)} b={lab(b)}"
             for p in rng
-            for a in interval(S, p)
-            for b in interval(S, p)
-            if S.le(a, b) and not S.le(S.witnesses[p].cmap[b], S.witnesses[p].cmap[a])
+            for a in intervals[p]
+            for b in _bits(up[p] & up[a])
+            if not up[cmaps[p][b]] >> cmaps[p][a] & 1
         )),
         first_failure("complement-join", (
             f"p={lab(p)} a={lab(a)}"
-            for p in rng for a in interval(S, p) if jn[a][S.witnesses[p].cmap[a]] != S.top
+            for p in rng for a in intervals[p] if jn[a][cmaps[p][a]] != S.top
         )),
         first_failure("interval-lattice", lattice_fails()),
         first_failure("interval-meet-de-morgan", demorgan_fails()),
         first_failure("complement-meet", (
             f"p={lab(p)} a={lab(a)}"
-            for p in rng
-            for a in interval(S, p)
-            if _interval_glb(S, interval(S, p), a, S.witnesses[p].cmap[a]) != p
+            for p in rng for a in intervals[p] if meets[p][a][cmaps[p][a]] != p
         )),
     )
     return CheckReport(subject="orthosemilattice", checks=checks)
@@ -533,15 +592,14 @@ def check_overlap_consistency(S: OrthosemilatticeTable) -> CheckReport:
     """Interval meets computed in [p, 1] and [q, 1] must agree on [q, 1] when p <= q."""
     n, jn = S.n, S.join
     lab = S.label
+    intervals = [interval(S, q) for q in range(n)]
 
     def fails():
         for p in range(n):
             wp = S.witnesses[p].cmap
-            for q in range(n):
-                if not S.le(p, q):
-                    continue
+            for q in intervals[p]:
                 wq = S.witnesses[q].cmap
-                members_q = interval(S, q)
+                members_q = intervals[q]
                 for a in members_q:
                     for b in members_q:
                         in_p = wp[jn[wp[a]][wp[b]]]

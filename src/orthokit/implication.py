@@ -15,6 +15,7 @@ from .core import (
     OrthosemilatticeTable,
     PosetTable,
     _least,
+    _mask,
     validate_orthosemilattice,
     validate_poset,
 )
@@ -166,12 +167,13 @@ def induced_order(T: ImplicationTable) -> PosetTable:
 def induced_join(T: ImplicationTable) -> Table:
     """Tabulate x v y := (x*y)*y and verify it is the lub of the induced order."""
     n, B = T.n, T.bullet
-    order = induced_order(T)
-    leq = order.leq
+    up = [_mask(row) for row in induced_order(T).leq]
     join = tuple(tuple(B[B[x][y]][y] for y in range(n)) for x in range(n))
+    lub = [[None] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            if _least(order.le, (k for k in range(n) if leq[x][k] and leq[y][k])) != join[x][y]:
+            lub[x][y] = lub[y][x] if y < x else _least(up[x] & up[y], up)
+            if lub[x][y] != join[x][y]:
                 raise NotAJoin(x, y)
     return join
 

@@ -128,20 +128,35 @@ def _tabulate(T: ImplicationTable, term: Term, ydomain) -> tuple[tuple[int, ...]
     pad = bytes(256 - n)
     rows = [bytes(row) + pad for row in T.bullet]
     cols = [bytes(col) + pad for col in zip(*T.bullet)]
-    done: dict[TermNode, tuple[tuple[int, ...], bytes]] = {}
+    # Hash-consing: equal subterms get one number, keyed by (kind, index) for
+    # a leaf and by the children's numbers for a product, so no lookup
+    # rehashes a subtree.  number[id(node)] maps each node object to its number.
+    number: dict[int, int] = {}
+    numbered: dict[tuple, int] = {}
+    tables: list[tuple[tuple[int, ...], bytes]] = []
     # reversed preorder puts every node after both of its children
     for node in reversed(list(_walk(term.root))):
-        if node in done:
+        if id(node) in number:
             continue
         if isinstance(node, Bullet):
-            done[node] = _bullet(done[node.left], done[node.right], size, rows, cols)
+            key = (number[id(node.left)], number[id(node.right)])
         elif isinstance(node, Const1):
-            done[node] = (), bytes((T.one,))
-        elif isinstance(node, XVar):
-            done[node] = (node.index,), bytes(range(n))
+            key = (Const1,)
         else:
-            done[node] = (term.xarity + node.index,), bytes(ydomain)
-    return done[term.root]
+            key = (type(node), node.index)
+        num = numbered.get(key)
+        if num is None:
+            num = numbered[key] = len(tables)
+            if isinstance(node, Bullet):
+                tables.append(_bullet(tables[key[0]], tables[key[1]], size, rows, cols))
+            elif isinstance(node, Const1):
+                tables.append(((), bytes((T.one,))))
+            elif isinstance(node, XVar):
+                tables.append(((node.index,), bytes(range(n))))
+            else:
+                tables.append(((term.xarity + node.index,), bytes(ydomain)))
+        number[id(node)] = num
+    return tables[number[id(term.root)]]
 
 
 def _bullet(left, right, size, rows, cols) -> tuple[tuple[int, ...], bytes]:

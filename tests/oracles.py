@@ -26,23 +26,24 @@ def closure_from_covers(n, covers):
     return leq
 
 
+def naive_least(le, candidates):
+    """The first candidate below every candidate under le, or None, by a plain double loop."""
+    cands = list(candidates)
+    for c in cands:
+        if all(le(c, v) for v in cands):
+            return c
+    return None
+
+
 def naive_lub(leq, i, j):
     """Least upper bound by scanning all upper bounds, or None."""
     n = len(leq)
-    ubs = [k for k in range(n) if leq[i][k] and leq[j][k]]
-    for u in ubs:
-        if all(leq[u][v] for v in ubs):
-            return u
-    return None
+    return naive_least(lambda a, b: leq[a][b], [k for k in range(n) if leq[i][k] and leq[j][k]])
 
 
 def naive_glb(leq, i, j):
     n = len(leq)
-    lbs = [k for k in range(n) if leq[k][i] and leq[k][j]]
-    for g in lbs:
-        if all(leq[v][g] for v in lbs):
-            return g
-    return None
+    return naive_least(lambda a, b: leq[b][a], [k for k in range(n) if leq[k][i] and leq[k][j]])
 
 
 def naive_is_partial_order(leq):
@@ -59,11 +60,7 @@ def naive_is_partial_order(leq):
 
 def naive_interval_glb(leq, members, a, b):
     """Greatest lower bound of a, b restricted to the given subset."""
-    lows = [x for x in members if leq[x][a] and leq[x][b]]
-    for g in lows:
-        if all(leq[x][g] for x in lows):
-            return g
-    return None
+    return naive_least(lambda x, y: leq[y][x], [x for x in members if leq[x][a] and leq[x][b]])
 
 
 def relative_complement(L, p, a):
