@@ -4,8 +4,7 @@ Partitions are canonicalized as least-representative arrays so that lists of
 congruences can be compared as plain sets.  Two enumeration routes exist: a
 backtracking search over set partitions that cuts a branch at the first
 violated compatibility constraint (the oracle, guarded at n <= 10), and
-closure of the principal congruences under join with principal congruences,
-where two congruences join as partitions.
+closure of the principal congruences under join with principal congruences.
 """
 
 from __future__ import annotations
@@ -242,36 +241,12 @@ def congruence_join(T: ImplicationTable, P: Partition, Q: Partition) -> Partitio
     return _close(T, list(P.rep), pairs)
 
 
-def partition_join(P: Partition, Q: Partition) -> Partition:
-    """The join of two partitions as equivalences: the transitive closure of their union.
-
-    Union-find over P's classes, where the larger root always goes under the
-    smaller, so every root is the least element of its class.
-    """
-    if P.n != Q.n:
-        raise BadIndex(Q.n, P.n)
-    rep = list(P.rep)
-
-    def find(x: int) -> int:
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for x, q in enumerate(Q.rep):
-        a, b = find(x), find(q)
-        if a != b:
-            rep[max(a, b)] = min(a, b)
-    return Partition(tuple(find(x) for x in range(len(rep))))
-
-
 def congruence_lattice(T: ImplicationTable) -> list[Partition]:
     """All congruences: the principal ones, closed under join with a principal one.
 
     Every congruence is a join of principal congruences, so joining each known
     congruence P with every principal Θ(a, b) not already below it (a and b
-    in different blocks of P) reaches them all.  Con(T) is a sublattice of the
-    lattice of equivalences, so two congruences join as partitions.
+    in different blocks of P) reaches them all.
     """
     n = T.n
     principals: dict[Partition, tuple[int, int]] = {}
@@ -286,7 +261,7 @@ def congruence_lattice(T: ImplicationTable) -> list[Partition]:
             for Q, (a, b) in principals.items():
                 if P.rep[a] == P.rep[b]:
                     continue
-                j = partition_join(P, Q)
+                j = congruence_join(T, P, Q)
                 if j not in known:
                     known.add(j)
                     fresh.append(j)

@@ -141,17 +141,14 @@ def validate_poset(leq) -> PosetTable:
     return PosetTable(n, rows)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mask(row) -> int:
     """Bitset of the positions where a boolean row is true."""
     return sum(1 << j for j, v in enumerate(row) if v)
+
+
+def _up_down(leq) -> tuple[list[int], list[int]]:
+    """Up-set and down-set bitsets of every element of a boolean relation matrix."""
+    return [_mask(row) for row in leq], [_mask(col) for col in zip(*leq)]
 
 
 def _least(cands: int, up) -> int | None:
@@ -178,8 +175,7 @@ def lattice_from_order(poset: PosetTable) -> tuple[Table, Table, int, int]:
     (i, j) are those of (j, i), so each pair below the diagonal is copied.
     """
     n, leq = poset.n, poset.leq
-    up = [_mask(row) for row in leq]
-    down = [_mask(col) for col in zip(*leq)]
+    up, down = _up_down(leq)
     full = (1 << n) - 1
     tops = [i for i in range(n) if down[i] == full]
     if not tops:
@@ -455,25 +451,19 @@ def order_filter_to_orthosemilattice(L: OrtholatticeTable, members, witnesses=No
     return restrict_to_filter(as_orthosemilattice(L, witnesses), members)
 
 
-def _order_masks(join) -> tuple[list[int], list[int]]:
-    """Up-set and down-set bitsets of every element, a <= b meaning a v b = b as in `le`."""
-    leq = [[row[b] == b for b in range(len(row))] for row in join]
-    return [_mask(row) for row in leq], [_mask(col) for col in zip(*leq)]
-
-
-def interval_meets(S: OrthosemilatticeTable) -> list[dict[int, list[int | None]]]:
+def interval_meets(up, down, intervals) -> list[dict[int, list[int | None]]]:
     """meets[p][a][b]: the greatest lower bound of a and b inside [p, 1], or None.
 
-    Rows exist for the a in [p, 1] and entries for the b in [p, 1].  Each
-    entry is one bound scan over the down-sets; (b, a) copies (a, b).
+    up and down are the up-set and down-set bitsets of the order, intervals[p]
+    the members of [p, 1].  Rows exist for the a in [p, 1] and entries for
+    the b in [p, 1].  Each entry is one bound scan over the down-sets; (b, a)
+    copies (a, b).
     """
-    up, down = _order_masks(S.join)
     meets = []
-    for p in range(S.n):
-        members = tuple(_bits(up[p]))
+    for p, members in enumerate(intervals):
         rows: dict[int, list[int | None]] = {}
         for a in members:
-            row = rows[a] = [None] * S.n
+            row = rows[a] = [None] * len(up)
             low = up[p] & down[a]
             for b in members:
                 row[b] = rows[b][a] if b < a else _least(low & down[b], down)
@@ -498,8 +488,9 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     jn = S.join
     lab = S.label
     rng = range(n)
-    up, _ = _order_masks(jn)
-    intervals = [tuple(_bits(up[p])) for p in rng]
+    # a <= b when a v b = b, as in `le`
+    up, down = _up_down([[row[b] == b for b in rng] for row in jn])
+    intervals = [tuple(a for a in rng if up[p] >> a & 1) for p in rng]
 
     def assoc_fails():
         rows = [tuple(row) for row in jn]
@@ -540,7 +531,7 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
         # the per-interval law checks below would just crash on a bad family
         return CheckReport(subject="orthosemilattice", checks=checks)
 
-    meets = interval_meets(S)
+    meets = interval_meets(up, down, intervals)
     cmaps = [S.witnesses[p].cmap for p in rng]
 
     def lattice_fails():
@@ -571,8 +562,8 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
             f"p={lab(p)} a={lab(a)} b={lab(b)}"
             for p in rng
             for a in intervals[p]
-            for b in _bits(up[p] & up[a])
-            if not up[cmaps[p][b]] >> cmaps[p][a] & 1
+            for b in intervals[p]
+            if up[a] >> b & 1 and not up[cmaps[p][b]] >> cmaps[p][a] & 1
         )),
         first_failure("complement-join", (
             f"p={lab(p)} a={lab(a)}"

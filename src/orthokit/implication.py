@@ -15,7 +15,7 @@ from .core import (
     OrthosemilatticeTable,
     PosetTable,
     _least,
-    _mask,
+    _up_down,
     validate_orthosemilattice,
     validate_poset,
 )
@@ -167,7 +167,7 @@ def induced_order(T: ImplicationTable) -> PosetTable:
 def induced_join(T: ImplicationTable) -> Table:
     """Tabulate x v y := (x*y)*y and verify it is the lub of the induced order."""
     n, B = T.n, T.bullet
-    up = [_mask(row) for row in induced_order(T).leq]
+    up, _ = _up_down(induced_order(T).leq)
     join = tuple(tuple(B[B[x][y]][y] for y in range(n)) for x in range(n))
     lub = [[None] * n for _ in range(n)]
     for x in range(n):

@@ -1,4 +1,4 @@
-"""The bitset bound scans, the tabulated interval meets and the partition join against naive oracles.
+"""The bitset bound scans and the tabulated interval meets against naive oracles.
 
 Every fast path here must give the same answer as the plain scan on every
 input, valid or not: the same table, or the same exception naming the same
@@ -9,17 +9,16 @@ matters as much as the bound they find.
 
 import dataclasses
 import random
-from itertools import combinations_with_replacement
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokit import catalog, interval, semilattice
-from orthokit.congruence import congruence_join, congruence_lattice, partition_join
 from orthokit.core import (
     IntervalWitness,
     OrthosemilatticeTable,
     PosetTable,
+    _up_down,
     check_overlap_consistency,
     interval_meets,
     lattice_from_order,
@@ -159,9 +158,9 @@ def test_induced_join_matches_the_oracle_on_reducts_and_their_cell_mutants():
 
 def assert_interval_meets_are_naive(S):
     leq = [[S.join[i][j] == j for j in range(S.n)] for i in range(S.n)]
-    meets = interval_meets(S)
-    for p in range(S.n):
-        members = interval(S, p)
+    intervals = [interval(S, p) for p in range(S.n)]
+    meets = interval_meets(*_up_down(leq), intervals)
+    for p, members in enumerate(intervals):
         assert sorted(meets[p]) == list(members)
         for a in members:
             for b in members:
@@ -182,13 +181,6 @@ def test_interval_meets_equal_the_naive_glb_on_join_mutants():
                     rows = list(S.join)
                     rows[i] = rows[i][:j] + (v,) + rows[i][j + 1:]
                     assert_interval_meets_are_naive(dataclasses.replace(S, join=tuple(rows)))
-
-
-def test_partition_join_equals_congruence_join_on_catalog_reducts():
-    for e in REDUCTS:
-        T = e.payload
-        for P, Q in combinations_with_replacement(congruence_lattice(T), 2):
-            assert partition_join(P, Q) == congruence_join(T, P, Q) == partition_join(Q, P)
 
 
 def naive_orthosemilattice_checks(S):

@@ -1,6 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 
-
+import orthokit
 from orthokit import entry, serialize_ioa, serialize_olat
 from orthokit.cli import main
 
@@ -229,3 +232,19 @@ def test_reports_are_byte_identical_across_runs(capsys):
     _, first, _ = run(capsys, "verify-theorems", "--catalog", "mo2_reduct", "--seed", "7")
     _, second, _ = run(capsys, "verify-theorems", "--catalog", "mo2_reduct", "--seed", "7")
     assert first == second
+
+
+def fresh(*argv):
+    """Exit code, stdout and stderr of one CLI call in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(orthokit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from orthokit.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_one_process_match_fresh_calls_after_a_usage_error(capsys):
+    bad = ("congruences", "--catalog", "bool4_reduct", "--method", "weird")
+    good = ("verify-theorems", "--catalog", "mo2_reduct")
+    calls = [bad, good, good, ("verify-theorems", "--catalog", "mo2_reduct", "--seed", "7"), good]
+    assert [run(capsys, *argv) for argv in calls] == [fresh(*argv) for argv in calls]
