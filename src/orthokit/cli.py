@@ -33,32 +33,6 @@ class UsageError(Exception):
     pass
 
 
-class Report:
-    def __init__(self):
-        self.lines: list[str] = []
-        self.checks = 0
-        self.failures = 0
-
-    def info(self, text: str) -> None:
-        self.lines.append(text)
-
-    def check(self, c: Check) -> None:
-        self.checks += 1
-        if not c.passed:
-            self.failures += 1
-        self.lines.append(c.line())
-
-    def extend(self, checks) -> None:
-        for c in checks:
-            self.check(c)
-
-    def finish(self) -> int:
-        status = "pass" if self.failures == 0 else "fail"
-        self.lines.append(f"RESULT {status} checks={self.checks} failures={self.failures}")
-        print("\n".join(self.lines))
-        return 0 if self.failures == 0 else 1
-
-
 def _load(args) -> cat.CatalogEntry:
     """Resolve --catalog or a path into a CatalogEntry-shaped bundle."""
     if getattr(args, "catalog", None):
@@ -100,35 +74,33 @@ def _fmt_partition(T, P) -> str:
     return " | ".join(",".join(T.label(x) for x in block) for block in P.blocks())
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> list[str | Check]:
     entry = _load(args)
-    rep = Report()
-    rep.info(f"command: validate {entry.name}")
+    out: list[str | Check] = [f"command: validate {entry.name}"]
     if entry.kind == "ortholattice":
-        rep.extend(validate_ortholattice(entry.payload).checks)
+        out += validate_ortholattice(entry.payload).checks
         if args.strong:
             result = is_strong(entry.payload)
             detail = "" if result else f"first failing interval p={entry.payload.label(result.failing_p)}"
-            rep.check(Check("strong", bool(result), detail))
+            out.append(Check("strong", bool(result), detail))
     elif entry.kind == "orthosemilattice":
-        rep.extend(validate_orthosemilattice(entry.payload).checks)
+        out += validate_orthosemilattice(entry.payload).checks
     else:
-        rep.extend(check_ioa_identities(entry.payload).checks)
-    return rep.finish()
+        out += check_ioa_identities(entry.payload).checks
+    return out
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> list[str | Check]:
     entry = _load(args)
-    rep = Report()
-    rep.info(f"command: derive {entry.name}")
+    out: list[str | Check] = [f"command: derive {entry.name}"]
     if entry.kind == "implication":
         raise UsageError(f"{entry.name} is already an implication table")
     if entry.kind == "ortholattice":
         result = is_strong(entry.payload)
         if not result:
-            rep.check(Check("strong", False, f"first failing interval p={entry.payload.label(result.failing_p)}"))
-            return rep.finish()
-        rep.check(Check("strong", True))
+            out.append(Check("strong", False, f"first failing interval p={entry.payload.label(result.failing_p)}"))
+            return out
+        out.append(Check("strong", True))
         S = as_orthosemilattice(entry.payload, result.witnesses)
     else:
         S = entry.payload
@@ -137,23 +109,22 @@ def cmd_derive(args) -> int:
             raise UsageError(f"--filter index {args.filter} out of range 0..{S.n - 1}")
         members = [x for x in range(S.n) if S.le(args.filter, x)]
         S = restrict_to_filter(S, members)
-        rep.info(f"info filter p={args.filter} keeps {S.n} elements")
+        out.append(f"info filter p={args.filter} keeps {S.n} elements")
     T = derive_bullet(S)
-    rep.extend(check_ioa_identities(T).checks)
+    out += check_ioa_identities(T).checks
     text = cat.serialize_ioa(T)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        rep.info(f"info wrote {args.out}")
+        out.append(f"info wrote {args.out}")
     else:
-        rep.info(text.rstrip("\n"))
-    return rep.finish()
+        out.append(text.rstrip("\n"))
+    return out
 
 
-def cmd_congruences(args) -> int:
+def cmd_congruences(args) -> list[str | Check]:
     entry = _load(args)
     T = _require_reduct(entry)
-    rep = Report()
-    rep.info(f"command: congruences {entry.name} method={args.method}")
+    out: list[str | Check] = [f"command: congruences {entry.name} method={args.method}"]
     brute = closure = None
     try:
         if args.method in ("brute", "both"):
@@ -164,24 +135,23 @@ def cmd_congruences(args) -> int:
         raise UsageError(str(exc)) from exc
     listed = closure if closure is not None else brute
     for i, P in enumerate(listed):
-        rep.info(f"congruence {i}: {_fmt_partition(T, P)} kernel={_fmt_set(T, cong.kernel(T, P).members)}")
+        out.append(f"congruence {i}: {_fmt_partition(T, P)} kernel={_fmt_set(T, cong.kernel(T, P).members)}")
     if args.method == "both":
-        rep.check(Check("methods-agree", set(brute) == set(closure),
-                        f"brute={len(brute)} closure={len(closure)}"))
+        out.append(Check("methods-agree", set(brute) == set(closure),
+                         f"brute={len(brute)} closure={len(closure)}"))
     if T.n <= cong.BRUTE_FORCE_LIMIT:
         inj = cong.verify_kernel_injectivity(T)
-        rep.check(Check("kernel-map-injective", inj.ok))
+        out.append(Check("kernel-map-injective", inj.ok))
     else:
         kernels = {cong.kernel(T, P).members for P in listed}
-        rep.check(Check("kernels-distinct", len(kernels) == len(listed)))
-    return rep.finish()
+        out.append(Check("kernels-distinct", len(kernels) == len(listed)))
+    return out
 
 
-def cmd_ideals(args) -> int:
+def cmd_ideals(args) -> list[str | Check]:
     entry = _load(args)
     T = _require_reduct(entry)
-    rep = Report()
-    rep.info(f"command: ideals {entry.name}")
+    out: list[str | Check] = [f"command: ideals {entry.name}"]
     did_something = False
 
     if args.term is not None:
@@ -191,11 +161,11 @@ def cmd_ideals(args) -> int:
         except ParseError as exc:
             raise UsageError(f"bad term: {exc}") from exc
         v = tms.is_ideal_term(T, term)
-        rep.check(Check("ideal-term", v.ok, "" if v.ok else f"fails at x-assignment {v.witness}"))
+        out.append(Check("ideal-term", v.ok, "" if v.ok else f"fails at x-assignment {v.witness}"))
         if args.check and v.ok:
             D = _parse_subset(args.check, T)
             cv = tms.closed_under_term(T, D, term)
-            rep.check(Check("subset-closed-under-term", cv.ok, "" if cv.ok else f"witness {cv.witness}"))
+            out.append(Check("subset-closed-under-term", cv.ok, "" if cv.ok else f"witness {cv.witness}"))
 
     if args.check and args.term is None:
         did_something = True
@@ -203,21 +173,21 @@ def cmd_ideals(args) -> int:
         d1 = cong.check_d1(T, D)
         d2 = cong.check_d2(T, D)
         rules = d1.ok and d2.ok
-        rep.info(f"info D1 {'holds' if d1.ok else f'fails at {d1.witness}'}")
-        rep.info(f"info D2 {'holds' if d2.ok else f'fails at {d2.witness}'}")
+        out.append(f"info D1 {'holds' if d1.ok else f'fails at {d1.witness}'}")
+        out.append(f"info D2 {'holds' if d2.ok else f'fails at {d2.witness}'}")
         terms_verdict = tms.is_ideal_by_terms(T, D)
-        rep.info("info t1..t6 closure "
-                 + ("holds" if terms_verdict.ok else f"fails at {terms_verdict.failing_term}"))
+        out.append("info t1..t6 closure "
+                   + ("holds" if terms_verdict.ok else f"fails at {terms_verdict.witness[0]}"))
         try:
             P = cong.theta_from_kernel(T, D)
             theta_ok = cong.kernel(T, P).members == frozenset(D)
-            rep.info(f"info congruence from subset: {_fmt_partition(T, P)}")
+            out.append(f"info congruence from subset: {_fmt_partition(T, P)}")
         except AlgebraError:
             theta_ok = False
-            rep.info("info congruence from subset: none")
-        rep.check(Check("verdicts-agree", rules == terms_verdict.ok == theta_ok,
-                        f"rules={rules} terms={terms_verdict.ok} congruence={theta_ok}"))
-        rep.info(f"info ideal: {'yes' if terms_verdict.ok else 'no'}")
+            out.append("info congruence from subset: none")
+        out.append(Check("verdicts-agree", rules == terms_verdict.ok == theta_ok,
+                         f"rules={rules} terms={terms_verdict.ok} congruence={theta_ok}"))
+        out.append(f"info ideal: {'yes' if terms_verdict.ok else 'no'}")
 
     if args.enumerate:
         did_something = True
@@ -226,17 +196,17 @@ def cmd_ideals(args) -> int:
             key=lambda k: (len(k), sorted(k)),
         )
         for i, K in enumerate(kernels):
-            rep.info(f"ideal {i}: {_fmt_set(T, K)}")
+            out.append(f"ideal {i}: {_fmt_set(T, K)}")
         if T.n <= verify.SWEEP_LIMIT:
             subsets = list(cong.subsets_with_one(T))
             closed = [tms.closed_subsets(T, subsets, term) for term in tms.builtin_terms().values()]
             swept = [D for D, *oks in zip(subsets, *closed) if all(oks)]
-            rep.check(Check("ideals-match-kernels", set(swept) == set(kernels),
-                            f"swept={len(swept)} kernels={len(kernels)}"))
+            out.append(Check("ideals-match-kernels", set(swept) == set(kernels),
+                             f"swept={len(swept)} kernels={len(kernels)}"))
 
     if not did_something:
         raise UsageError("give one of --check, --enumerate, --term")
-    return rep.finish()
+    return out
 
 
 def _parse_subset(raw: str, T) -> frozenset[int]:
@@ -252,19 +222,14 @@ def _parse_subset(raw: str, T) -> frozenset[int]:
     return values
 
 
-def cmd_verify_theorems(args) -> int:
-    rep = Report()
+def cmd_verify_theorems(args) -> list[str | Check]:
     if args.all:
-        rep.info(f"command: verify-theorems --all seed={args.seed}")
-        rep.extend(verify.all_checks(seed=args.seed))
-    else:
-        try:
-            entry = cat.entry(args.catalog)
-        except KeyError as exc:
-            raise UsageError(exc.args[0]) from exc
-        rep.info(f"command: verify-theorems {entry.name} seed={args.seed}")
-        rep.extend(verify.entry_checks(entry, seed=args.seed))
-    return rep.finish()
+        return [f"command: verify-theorems --all seed={args.seed}", *verify.all_checks(seed=args.seed)]
+    try:
+        entry = cat.entry(args.catalog)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from exc
+    return [f"command: verify-theorems {entry.name} seed={args.seed}", *verify.entry_checks(entry, seed=args.seed)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,10 +280,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        out = args.func(args)
     except (UsageError, ParseError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    checks = [c for c in out if isinstance(c, Check)]
+    failures = sum(not c.passed for c in checks)
+    lines = [c.line() if isinstance(c, Check) else c for c in out]
+    lines.append(f"RESULT {'fail' if failures else 'pass'} checks={len(checks)} failures={failures}")
+    print("\n".join(lines))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -269,7 +269,7 @@ def validate_ortholattice(L: OrtholatticeTable) -> CheckReport:
             for x in rng for y in rng if cp[mt[x][y]] != jn[cp[x]][cp[y]]
         )),
     )
-    return CheckReport(subject="ortholattice", checks=checks)
+    return CheckReport(checks)
 
 
 def interval(alg, p: int) -> tuple[int, ...]:
@@ -446,9 +446,9 @@ def restrict_to_filter(S: OrthosemilatticeTable, members) -> OrthosemilatticeTab
     return OrthosemilatticeTable(n=m, join=join, top=old2new[S.top], witnesses=tuple(witnesses), names=names)
 
 
-def order_filter_to_orthosemilattice(L: OrtholatticeTable, members, witnesses=None) -> OrthosemilatticeTable:
+def order_filter_to_orthosemilattice(L: OrtholatticeTable, members) -> OrthosemilatticeTable:
     """Restrict a strong ortholattice to an order filter, keeping the stored witnesses."""
-    return restrict_to_filter(as_orthosemilattice(L, witnesses), members)
+    return restrict_to_filter(as_orthosemilattice(L), members)
 
 
 def interval_meets(up, down, intervals) -> list[dict[int, list[int | None]]]:
@@ -529,7 +529,7 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     )
     if not checks[-1].passed:
         # the per-interval law checks below would just crash on a bad family
-        return CheckReport(subject="orthosemilattice", checks=checks)
+        return CheckReport(checks)
 
     meets = interval_meets(up, down, intervals)
     cmaps = [S.witnesses[p].cmap for p in rng]
@@ -576,7 +576,7 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
             for p in rng for a in intervals[p] if meets[p][a][cmaps[p][a]] != p
         )),
     )
-    return CheckReport(subject="orthosemilattice", checks=checks)
+    return CheckReport(checks)
 
 
 def check_overlap_consistency(S: OrthosemilatticeTable) -> CheckReport:
@@ -602,4 +602,4 @@ def check_overlap_consistency(S: OrthosemilatticeTable) -> CheckReport:
                             )
                             return
 
-    return CheckReport(subject="orthosemilattice-overlap", checks=(first_failure("overlap-meets", fails()),))
+    return CheckReport((first_failure("overlap-meets", fails()),))

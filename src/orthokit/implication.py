@@ -138,15 +138,7 @@ def check_ioa_identities(T: ImplicationTable) -> CheckReport:
         d_ok == dp_ok,
         "" if d_ok == dp_ok else f"(d) {'passed' if d_ok else 'failed'} but (d') {'passed' if dp_ok else 'failed'}",
     ),)
-    return CheckReport(subject="implication-identities", checks=checks)
-
-
-def require_implication_algebra(T: ImplicationTable) -> CheckReport:
-    """Raise NotImplicationAlgebra unless every identity passes."""
-    report = check_ioa_identities(T)
-    if not report.ok:
-        raise NotImplicationAlgebra(report)
-    return report
+    return CheckReport(checks)
 
 
 def induced_order(T: ImplicationTable) -> PosetTable:
@@ -199,7 +191,9 @@ def reconstruct_orthosemilattice(T: ImplicationTable) -> OrthosemilatticeTable:
     result is revalidated; failure means the input was not a genuine
     implication orthoalgebra in the first place.
     """
-    require_implication_algebra(T)
+    report = check_ioa_identities(T)
+    if not report.ok:
+        raise NotImplicationAlgebra(report)
     n, B = T.n, T.bullet
     join = induced_join(T)
     witnesses = []

@@ -24,7 +24,6 @@ def first_failure(name: str, fails) -> Check:
 
 @dataclass(frozen=True)
 class CheckReport:
-    subject: str
     checks: tuple[Check, ...]
 
     @property
@@ -39,9 +38,6 @@ class CheckReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def lines(self) -> list[str]:
-        return [c.line() for c in self.checks]
 
 
 @dataclass(frozen=True)

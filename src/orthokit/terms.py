@@ -29,6 +29,8 @@ from .report import Check, CheckReport, Verdict
 
 # Assignments an exhaustive term scan may visit; larger scans raise TooLarge up front.
 TERM_SCAN_LIMIT = 10**6
+# Random terms `random_ideal_terms` may draw before it gives up.
+RANDOM_TERM_TRIES = 20000
 
 
 @dataclass(frozen=True)
@@ -323,23 +325,14 @@ def _mask(elements) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class IdealCheck:
-    ok: bool
-    failing_term: str | None = None
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_ideal_by_terms(T: ImplicationTable, I) -> IdealCheck:
-    """A nonempty subset is an ideal iff it is closed under t1..t6, checked in order."""
+def is_ideal_by_terms(T: ImplicationTable, I) -> Verdict:
+    """A nonempty subset is an ideal iff it is closed under t1..t6, checked in order;
+    a failure's witness is (the first failing term's name, its closure witness)."""
     for name, term in _BUILTIN_TERMS.items():
         v = closed_under_term(T, I, term)
         if not v:
-            return IdealCheck(False, name, v.witness)
-    return IdealCheck(True)
+            return Verdict(False, (name, v.witness))
+    return Verdict(True)
 
 
 def property_mp(T: ImplicationTable, I) -> Verdict:
@@ -387,7 +380,7 @@ def _lemma_chain(T: ImplicationTable, members: frozenset[int], closed) -> CheckR
             checks.append(Check(name, True))
         else:
             checks.append(Check(name, False, "closure holds but the conclusion fails"))
-    return CheckReport(subject="lemma-chain", checks=tuple(checks))
+    return CheckReport(tuple(checks))
 
 
 def ideal_closure(T: ImplicationTable, G) -> KernelSet:
@@ -413,29 +406,21 @@ def random_term(rng: random.Random, xarity: int = 2, yarity: int = 2, max_depth:
     return Term(Bullet(node(1), node(1)), xarity, yarity)
 
 
-def random_ideal_terms(
-    T: ImplicationTable,
-    count: int,
-    seed: int = 0,
-    xarity: int = 2,
-    yarity: int = 2,
-    max_depth: int = 5,
-    max_tries: int = 20000,
-) -> list[Term]:
+def random_ideal_terms(T: ImplicationTable, count: int, seed: int = 0) -> list[Term]:
     """Deterministically sample distinct random terms that are ideal terms of T."""
     rng = random.Random(seed)
     found: list[Term] = []
     seen: set[Term] = set()
-    for _ in range(max_tries):
+    for _ in range(RANDOM_TERM_TRIES):
         if len(found) == count:
             return found
-        t = random_term(rng, xarity, yarity, max_depth)
+        t = random_term(rng)
         if t in seen:
             continue
         seen.add(t)
         if is_ideal_term(T, t):
             found.append(t)
-    raise RuntimeError(f"could not find {count} ideal terms in {max_tries} tries")
+    raise RuntimeError(f"could not find {count} ideal terms in {RANDOM_TERM_TRIES} tries")
 
 
 def parse_term(text: str) -> Term:

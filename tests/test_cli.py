@@ -3,6 +3,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import orthokit
 from orthokit import entry, serialize_ioa, serialize_olat
 from orthokit.cli import main
@@ -20,6 +22,27 @@ def assert_result_line(out, status):
     last = out.rstrip("\n").splitlines()[-1]
     assert RESULT_RE.match(last), last
     assert last.startswith(f"RESULT {status} ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("validate", "--catalog", "fig1_o6", "--strong"), 1),
+    (("derive", "--catalog", "fig1_o6"), 1),
+    (("congruences", "--catalog", "bool4_reduct", "--method", "both"), 0),
+    (("ideals", "--catalog", "bool4_reduct", "--check", "1,2,3"), 0),
+    (("ideals", "--catalog", "bool4_reduct", "--term", "x0"), 1),
+    (("ideals", "--catalog", "mo2_reduct", "--enumerate"), 0),
+    (("verify-theorems", "--catalog", "fig1_o6"), 0),
+])
+def test_result_line_counts_the_printed_checks(capsys, argv, code):
+    got, out, _ = run(capsys, *argv)
+    lines = out.rstrip("\n").splitlines()
+    checks = [line for line in lines if line.startswith("check ")]
+    # a passing check line ends in PASS; only a failing one carries a detail
+    failures = [line for line in checks if not line.endswith(" PASS")]
+    assert all(" FAIL" in line for line in failures)
+    assert [line for line in lines if line.startswith("RESULT ")] == [lines[-1]]
+    assert lines[-1] == f"RESULT {'fail' if failures else 'pass'} checks={len(checks)} failures={len(failures)}"
+    assert got == code == (1 if failures else 0)
 
 
 def test_validate_catalog_pass(capsys):

@@ -176,7 +176,7 @@ def test_non_kernel_subsets_fail_some_term():
         verdict = is_ideal_by_terms(T, D)
         assert verdict.ok == (D in kernels)
         if not verdict.ok:
-            assert verdict.failing_term in {"t1", "t2", "t3", "t4", "t5", "t6"}
+            assert verdict.witness[0] in {"t1", "t2", "t3", "t4", "t5", "t6"}
 
 
 # --- derived rules -----------------------------------------------------------------
