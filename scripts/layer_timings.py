@@ -3,7 +3,8 @@
 
 Boolean 2^k comes from `perfbench/families.py`.  `is_strong` refuses carriers
 above 16 elements, so its interval witnesses are the relative complements
-x -> comp(x) v p, each checked with `validate_interval_witness`.  Every time
+x -> comp(x) v p of `core.relative_complement`, each checked with
+`validate_interval_witness`.  Every time
 is the best of `reps` in-process calls, in seconds; `reconstruct` includes
 the identities, `induced_join` and the validator.
 
@@ -39,7 +40,7 @@ def boolean(k, reps):
     L = catalog_io.parse_olat("\n".join(lines) + "\n")
     witnesses = []
     for p in range(L.n):
-        w = core.IntervalWitness(p, tuple(L.join[L.comp[x]][p] if L.le(p, x) else None for x in range(L.n)))
+        w = core.relative_complement(L, p)
         if not core.validate_interval_witness(L, w):
             raise SystemExit(f"relative complement is no witness at p={p}")
         witnesses.append(w)

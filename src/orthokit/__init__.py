@@ -39,6 +39,7 @@ from .core import (
     is_strong,
     lattice_from_order,
     order_filter_to_orthosemilattice,
+    relative_complement,
     restrict_to_filter,
     validate_interval_witness,
     validate_ortholattice,

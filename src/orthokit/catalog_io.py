@@ -79,20 +79,18 @@ def _transitive_closure(leq: list[list[bool]]) -> None:
                         row_i[j] = True
 
 
-def parse_olat(text: str) -> OrtholatticeTable:
-    lines = list(_directives(text))
-    if not lines:
+def _body(text: str, fmt: str):
+    """Check the header '<fmt> 1' and the n line that must come next; yield n,
+    then every later directive as (lineno, tokens) in line order."""
+    lines = _directives(text)
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty input", 1)
-    lineno, header = lines[0]
-    if header != ["olat", "1"]:
-        raise ParseError("expected header 'olat 1'", lineno)
+    if first[1] != [fmt, "1"]:
+        raise ParseError(f"expected header '{fmt} 1'", first[0])
     n = None
-    le_pairs: list[tuple[int, int]] = []
-    comp: list[int | None] = []
-    names: list[str] | None = None
-    for lineno, toks in lines[1:]:
-        key = toks[0]
-        if key == "n":
+    for lineno, toks in lines:
+        if toks[0] == "n":
             if n is not None:
                 raise ParseError("duplicate n line", lineno)
             if len(toks) != 2:
@@ -100,10 +98,23 @@ def parse_olat(text: str) -> OrtholatticeTable:
             n = _int(toks[1], lineno)
             if n < 1:
                 raise RangeError("n must be at least 1", lineno)
-            comp = [None] * n
-            continue
-        if n is None:
-            raise ParseError(f"'{key}' line before the n line", lineno)
+            yield n
+        elif n is None:
+            raise ParseError(f"'{toks[0]}' line before the n line", lineno)
+        else:
+            yield lineno, toks
+    if n is None:
+        raise ParseError("missing n line", 1)
+
+
+def parse_olat(text: str) -> OrtholatticeTable:
+    body = _body(text, "olat")
+    n = next(body)
+    le_pairs: list[tuple[int, int]] = []
+    comp: list[int | None] = [None] * n
+    names: list[str] | None = None
+    for lineno, toks in body:
+        key = toks[0]
         if key == "name":
             if len(toks) != 3:
                 raise ParseError("usage: name <i> <label>", lineno)
@@ -125,8 +136,6 @@ def parse_olat(text: str) -> OrtholatticeTable:
                 comp[a] = b
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
-    if n is None:
-        raise ParseError("missing n line", 1)
     for i, c in enumerate(comp):
         if c is None:
             raise MissingComplement(i)
@@ -161,29 +170,12 @@ def serialize_olat(L: OrtholatticeTable) -> str:
 
 
 def parse_ioa(text: str) -> ImplicationTable:
-    lines = list(_directives(text))
-    if not lines:
-        raise ParseError("empty input", 1)
-    lineno, header = lines[0]
-    if header != ["ioa", "1"]:
-        raise ParseError("expected header 'ioa 1'", lineno)
-    n = None
+    body = _body(text, "ioa")
+    n = next(body)
     one = None
-    rows: list[tuple[int, ...] | None] = []
-    for lineno, toks in lines[1:]:
+    rows: list[tuple[int, ...] | None] = [None] * n
+    for lineno, toks in body:
         key = toks[0]
-        if key == "n":
-            if n is not None:
-                raise ParseError("duplicate n line", lineno)
-            if len(toks) != 2:
-                raise ParseError("usage: n <count>", lineno)
-            n = _int(toks[1], lineno)
-            if n < 1:
-                raise RangeError("n must be at least 1", lineno)
-            rows = [None] * n
-            continue
-        if n is None:
-            raise ParseError(f"'{key}' line before the n line", lineno)
         if key == "one":
             if len(toks) != 2:
                 raise ParseError("usage: one <i>", lineno)
@@ -197,8 +189,6 @@ def parse_ioa(text: str) -> ImplicationTable:
             rows[i] = tuple(_index(tok, n, lineno) for tok in toks[2:])
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
-    if n is None:
-        raise ParseError("missing n line", 1)
     if one is None:
         raise ParseError("missing one line", 1)
     for i, row in enumerate(rows):
@@ -215,12 +205,9 @@ def serialize_ioa(T: ImplicationTable) -> str:
 
 def sniff_format(text: str) -> str:
     """'olat' or 'ioa' according to the header line."""
-    for _, toks in _directives(text):
-        if toks[:1] == ["olat"]:
-            return "olat"
-        if toks[:1] == ["ioa"]:
-            return "ioa"
-        break
+    _, toks = next(_directives(text), (1, [None]))
+    if toks[0] in ("olat", "ioa"):
+        return toks[0]
     raise ParseError("unrecognized header; expected 'olat 1' or 'ioa 1'", 1)
 
 

@@ -24,7 +24,7 @@ from .core import (
     validate_ortholattice,
     validate_orthosemilattice,
 )
-from .errors import AlgebraError, ParseError, TooLarge
+from .errors import AlgebraError, ParseError
 from .implication import check_ioa_identities, derive_bullet
 from .report import Check
 
@@ -45,7 +45,7 @@ def _load(args) -> cat.CatalogEntry:
     path = Path(args.path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     kind = cat.sniff_format(text)
     if kind == "olat":
@@ -114,7 +114,10 @@ def cmd_derive(args) -> list[str | Check]:
     out += check_ioa_identities(T).checks
     text = cat.serialize_ioa(T)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
         out.append(f"info wrote {args.out}")
     else:
         out.append(text.rstrip("\n"))
@@ -126,13 +129,10 @@ def cmd_congruences(args) -> list[str | Check]:
     T = _require_reduct(entry)
     out: list[str | Check] = [f"command: congruences {entry.name} method={args.method}"]
     brute = closure = None
-    try:
-        if args.method in ("brute", "both"):
-            brute = cong.all_congruences_bruteforce(T)
-        if args.method in ("closure", "both"):
-            closure = cong.congruence_lattice(T)
-    except TooLarge as exc:
-        raise UsageError(str(exc)) from exc
+    if args.method in ("brute", "both"):
+        brute = cong.all_congruences_bruteforce(T)
+    if args.method in ("closure", "both"):
+        closure = cong.congruence_lattice(T)
     listed = closure if closure is not None else brute
     for i, P in enumerate(listed):
         out.append(f"congruence {i}: {_fmt_partition(T, P)} kernel={_fmt_set(T, cong.kernel(T, P).members)}")
@@ -225,10 +225,7 @@ def _parse_subset(raw: str, T) -> frozenset[int]:
 def cmd_verify_theorems(args) -> list[str | Check]:
     if args.all:
         return [f"command: verify-theorems --all seed={args.seed}", *verify.all_checks(seed=args.seed)]
-    try:
-        entry = cat.entry(args.catalog)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from exc
+    entry = _load(args)
     return [f"command: verify-theorems {entry.name} seed={args.seed}", *verify.entry_checks(entry, seed=args.seed)]
 
 

@@ -9,6 +9,7 @@ inputs.  Carriers are expected to stay small (n <= 16).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 from .errors import (
     BadIndex,
@@ -25,7 +26,7 @@ from .errors import (
     TooLarge,
     WitnessNotFound,
 )
-from .report import CheckReport, Verdict, first_failure
+from .report import Check, CheckReport, Verdict, first_failure
 
 # Backtracking over candidate involutions is exponential in the interval
 # size, so the witness search refuses carriers above this bound.
@@ -141,14 +142,17 @@ def validate_poset(leq) -> PosetTable:
     return PosetTable(n, rows)
 
 
-def _mask(row) -> int:
-    """Bitset of the positions where a boolean row is true."""
-    return sum(1 << j for j, v in enumerate(row) if v)
+def _mask(elements) -> int:
+    """Bitset of a collection of indices."""
+    bits = 0
+    for e in elements:
+        bits |= 1 << e
+    return bits
 
 
 def _up_down(leq) -> tuple[list[int], list[int]]:
     """Up-set and down-set bitsets of every element of a boolean relation matrix."""
-    return [_mask(row) for row in leq], [_mask(col) for col in zip(*leq)]
+    return [_mask(compress(count(), row)) for row in leq], [_mask(compress(count(), col)) for col in zip(*leq)]
 
 
 def _least(cands: int, up) -> int | None:
@@ -199,23 +203,29 @@ def lattice_from_order(poset: PosetTable) -> tuple[Table, Table, int, int]:
     return tuple(map(tuple, join)), tuple(map(tuple, meet)), bots[0], tops[0]
 
 
-def _check_lattice_shape(L: OrtholatticeTable) -> None:
-    n = L.n
-    ok = (
+def _check_tables(n: int, tables, maps, elements) -> None:
+    """Raise BadIndex unless every table is n x n, every map has n entries, and
+    every entry and every named element is an index below n."""
+    rows = [*maps, *(row for table in tables for row in table)]
+    if not (
         n >= 1
-        and len(L.join) == n
-        and len(L.meet) == n
-        and len(L.comp) == n
-        and all(len(row) == n for row in L.join)
-        and all(len(row) == n for row in L.meet)
-        and all(0 <= v < n for row in L.join for v in row)
-        and all(0 <= v < n for row in L.meet for v in row)
-        and all(0 <= v < n for v in L.comp)
-        and 0 <= L.bot < n
-        and 0 <= L.top < n
-    )
-    if not ok:
+        and all(len(table) == n for table in tables)
+        and all(len(row) == n for row in rows)
+        and all(0 <= v < n for row in rows for v in row)
+        and all(0 <= v < n for v in elements)
+    ):
         raise BadIndex("table entry", n)
+
+
+def _associative(name: str, table, lab) -> Check:
+    """The first (x, y, z) with (x v y) v z != x v (y v z); row x v y is tested for all z at once."""
+    rows = [tuple(row) for row in table]
+    rng = range(len(rows))
+    return first_failure(name, (
+        f"x={lab(x)} y={lab(y)} z={lab(z)}"
+        for x in rng for y in rng if rows[rows[x][y]] != tuple(map(rows[x].__getitem__, rows[y]))
+        for z in rng if rows[rows[x][y]][z] != rows[x][rows[y][z]]
+    ))
 
 
 def validate_ortholattice(L: OrtholatticeTable) -> CheckReport:
@@ -224,21 +234,15 @@ def validate_ortholattice(L: OrtholatticeTable) -> CheckReport:
     De Morgan is derivable from involution plus antitonicity but is checked
     anyway, as a guard against inconsistent tables.
     """
-    _check_lattice_shape(L)
+    _check_tables(L.n, (L.join, L.meet), (L.comp,), (L.bot, L.top))
     n, jn, mt, cp = L.n, L.join, L.meet, L.comp
     lab = L.label
     rng = range(n)
     checks = (
         first_failure("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
         first_failure("meet-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if mt[x][y] != mt[y][x])),
-        first_failure("join-associative", (
-            f"x={lab(x)} y={lab(y)} z={lab(z)}"
-            for x in rng for y in rng for z in rng if jn[jn[x][y]][z] != jn[x][jn[y][z]]
-        )),
-        first_failure("meet-associative", (
-            f"x={lab(x)} y={lab(y)} z={lab(z)}"
-            for x in rng for y in rng for z in rng if mt[mt[x][y]][z] != mt[x][mt[y][z]]
-        )),
+        _associative("join-associative", jn, lab),
+        _associative("meet-associative", mt, lab),
         first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
         first_failure("meet-idempotent", (f"x={lab(x)}" for x in rng if mt[x][x] != x)),
         first_failure("absorption", (
@@ -341,26 +345,35 @@ def find_interval_orthocomplementation(L: OrtholatticeTable, p: int) -> Interval
     return IntervalWitness(p=p, cmap=cmap)
 
 
+def relative_complement(L: OrtholatticeTable, p: int) -> IntervalWitness:
+    """The map x -> comp(x) v p on [p, 1], which orthocomplements every interval of
+    an orthomodular lattice (Kalmbach, Orthomodular Lattices, 1983).  It is built
+    from comp and the order alone, so it is the same under every relabeling."""
+    members = set(interval(L, p))
+    return IntervalWitness(p, tuple(L.join[L.comp[a]][p] if a in members else None for a in range(L.n)))
+
+
 def is_strong(L: OrtholatticeTable) -> StrongnessResult:
     """Find an orthocomplementation of every interval [p, 1].
 
-    The lattice's own complement is the witness for [0, 1]; every other
-    interval is searched.  Returns the full witness family, or the least p
-    whose interval has none.  The stored family is what every derived
-    structure uses afterwards; it is never re-searched.
+    The lattice's own complement must be the witness for [0, 1]; every other
+    interval takes its relative complement, or else its least witness.
+    Returns the full witness family, or the least p whose interval has none.
+    Every derived structure uses the stored family; it is never re-searched.
     """
+    if L.n > WITNESS_SEARCH_LIMIT:
+        raise TooLarge(L.n, WITNESS_SEARCH_LIMIT)
     witnesses = []
     for p in range(L.n):
-        if p == L.bot:
-            w = IntervalWitness(p, tuple(L.comp))
-            if not validate_interval_witness(L, w):
+        w = IntervalWitness(p, tuple(L.comp)) if p == L.bot else relative_complement(L, p)
+        if not validate_interval_witness(L, w):
+            if p == L.bot:
                 return StrongnessResult(False, None, p)
-            witnesses.append(w)
-            continue
-        try:
-            witnesses.append(find_interval_orthocomplementation(L, p))
-        except WitnessNotFound:
-            return StrongnessResult(False, None, p)
+            try:
+                w = find_interval_orthocomplementation(L, p)
+            except WitnessNotFound:
+                return StrongnessResult(False, None, p)
+        witnesses.append(w)
     return StrongnessResult(True, tuple(witnesses), None)
 
 
@@ -483,25 +496,13 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     n = S.n
     if n < 1 or len(S.join) != n or any(len(r) != n for r in S.join) or len(S.witnesses) != n:
         raise BadIndex("table shape", n)
-    if any(not 0 <= v < n for row in S.join for v in row) or not 0 <= S.top < n:
-        raise BadIndex("table entry", n)
+    _check_tables(n, (S.join,), (), (S.top,))
     jn = S.join
     lab = S.label
     rng = range(n)
     # a <= b when a v b = b, as in `le`
     up, down = _up_down([[row[b] == b for b in rng] for row in jn])
     intervals = [tuple(a for a in rng if up[p] >> a & 1) for p in rng]
-
-    def assoc_fails():
-        rows = [tuple(row) for row in jn]
-        for x in rng:
-            jx = rows[x]
-            for y in rng:
-                # row x v y against x v (y v z), all z at once
-                if rows[jx[y]] != tuple(map(jx.__getitem__, rows[y])):
-                    z = next(z for z in rng if rows[jx[y]][z] != jx[rows[y][z]])
-                    yield f"x={lab(x)} y={lab(y)} z={lab(z)}"
-                    return
 
     def domain_fails():
         for p in rng:
@@ -522,7 +523,7 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
 
     checks = (
         first_failure("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
-        first_failure("join-associative", assoc_fails()),
+        _associative("join-associative", jn, lab),
         first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
         first_failure("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][S.top] != S.top)),
         first_failure("witness-domains", domain_fails()),

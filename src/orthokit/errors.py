@@ -165,5 +165,4 @@ class MissingComplement(ParseError):
 
 
 class RangeError(ParseError):
-    def __init__(self, message, line=None):
-        super().__init__(message, line)
+    """A number in a text input is outside its allowed range."""

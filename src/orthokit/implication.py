@@ -14,6 +14,7 @@ from .core import (
     IntervalWitness,
     OrthosemilatticeTable,
     PosetTable,
+    _check_tables,
     _least,
     _up_down,
     validate_orthosemilattice,
@@ -50,19 +51,6 @@ class ImplicationTable:
         return self.names[i] if self.names else str(i)
 
 
-def _check_shape(T: ImplicationTable) -> None:
-    n = T.n
-    ok = (
-        n >= 1
-        and len(T.bullet) == n
-        and all(len(row) == n for row in T.bullet)
-        and all(0 <= v < n for row in T.bullet for v in row)
-        and 0 <= T.one < n
-    )
-    if not ok:
-        raise BadIndex("table entry", n)
-
-
 def derive_bullet(S: OrthosemilatticeTable) -> ImplicationTable:
     """Tabulate x*y := comp of (x v y) inside [y, 1], using the stored witnesses."""
     n, jn = S.n, S.join
@@ -78,22 +66,15 @@ def derive_bullet(S: OrthosemilatticeTable) -> ImplicationTable:
     return ImplicationTable(n=n, bullet=tuple(rows), one=S.top, names=S.names)
 
 
-# The defining identities of an implication orthoalgebra, in check order.
-# (d') is the conditional form of (d): p <= a implies ((a*p)*a)*a = 1, with
-# p <= a read off the induced relation x <= y iff x*y = 1.
-IDENTITIES = {
-    "a": "x*1 = 1, x*x = 1, 1*x = x",
-    "b": "(x*y)*y = (y*x)*x",
-    "c": "(((x*y)*y)*p)*(x*p) = 1",
-    "d": "(((x*p)*p)*p)*((x*p)*p) = (x*p)*p",
-    "d'": "p*a = 1 implies ((a*p)*a)*a = 1",
-}
-
-
 def check_ioa_identities(T: ImplicationTable) -> CheckReport:
-    """Exhaustively check the defining identities; the report also records
-    whether (d) and (d') agreed, which they must on any genuine table."""
-    _check_shape(T)
+    """Exhaustively check the defining identities in this order, then whether (d) and (d') agreed:
+        (a)  x*1 = 1, x*x = 1, 1*x = x
+        (b)  (x*y)*y = (y*x)*x
+        (c)  (((x*y)*y)*p)*(x*p) = 1
+        (d)  (((x*p)*p)*p)*((x*p)*p) = (x*p)*p
+        (d') p*a = 1 implies ((a*p)*a)*a = 1, the conditional form of (d) with p <= a read
+             off the induced relation x <= y iff x*y = 1; the two agree on any genuine table."""
+    _check_tables(T.n, (T.bullet,), (), (T.one,))
     n, B, one = T.n, T.bullet, T.one
     lab = T.label
     rng = range(n)
@@ -143,7 +124,7 @@ def check_ioa_identities(T: ImplicationTable) -> CheckReport:
 
 def induced_order(T: ImplicationTable) -> PosetTable:
     """The relation x <= y iff x*y = 1, verified to be an order with greatest element."""
-    _check_shape(T)
+    _check_tables(T.n, (T.bullet,), (), (T.one,))
     n, B, one = T.n, T.bullet, T.one
     leq = tuple(tuple(B[x][y] == one for y in range(n)) for x in range(n))
     try:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .congruence import KernelSet, _d2_failure, check_d1, congruence_closure, kernel
+from .core import _mask
 from .errors import ArityMismatch, ParseError, TooLarge
 from .implication import ImplicationTable
 from .report import Check, CheckReport, Verdict
@@ -316,13 +317,6 @@ def closed_subsets(T: ImplicationTable, subsets, term: Term) -> tuple[bool, ...]
         outside = ~_mask(D)
         verdicts.append(not any(gives & outside for need, gives in clauses.items() if not need & outside))
     return tuple(verdicts)
-
-
-def _mask(elements) -> int:
-    bits = 0
-    for e in elements:
-        bits |= 1 << e
-    return bits
 
 
 def is_ideal_by_terms(T: ImplicationTable, I) -> Verdict:

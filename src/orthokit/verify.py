@@ -16,7 +16,7 @@ from .core import (
     is_modular,
     is_orthomodular,
     is_strong,
-    IntervalWitness,
+    relative_complement,
     StrongnessResult,
     validate_interval_witness,
     validate_ortholattice,
@@ -32,11 +32,6 @@ RANDOM_TERM_COUNT = 20
 
 def _idx(L, label: str) -> int:
     return L.names.index(label)
-
-
-def _comp_witness(L, p: int) -> IntervalWitness:
-    cmap = tuple(L.join[L.comp[a]][p] if L.le(p, a) else None for a in range(L.n))
-    return IntervalWitness(p=p, cmap=cmap)
 
 
 def _ortholattice_checks(name: str, L, strong: StrongnessResult) -> list[Check]:
@@ -81,7 +76,7 @@ def _ortholattice_checks(name: str, L, strong: StrongnessResult) -> list[Check]:
         checks.append(Check(f"{name}: orthomodular", is_orthomodular(L).ok))
         checks.append(Check(f"{name}: modular", is_modular(L).ok))
     if name in ("mo2", "bool4", "bool8"):
-        ok = all(validate_interval_witness(L, _comp_witness(L, p)).ok for p in range(L.n))
+        ok = all(validate_interval_witness(L, relative_complement(L, p)).ok for p in range(L.n))
         checks.append(Check(f"{name}: comp(a) v p complements every interval", ok))
     return checks
 

@@ -21,6 +21,7 @@ from orthokit import (
     semilattice,
     validate_interval_witness,
     validate_ortholattice,
+    verify,
 )
 from orthokit.congruence import (
     all_congruences_bruteforce,
@@ -194,6 +195,17 @@ def test_12_orthomodular_models_admit_the_comp_join_witnesses():
             cmap = tuple(L.join[L.comp[a]][p] if L.le(p, a) else None for a in range(L.n))
             assert validate_interval_witness(L, IntervalWitness(p, cmap)).ok, (name, p)
     done(12, "a -> comp(a) v p is a valid interval witness for every p on mo2 and bool8")
+
+
+@pytest.mark.parametrize("name", ["fig2_reduct", "fig2_filter_no0_reduct"])
+def test_13_subset_sweeps_hold_on_the_non_orthomodular_reducts(name):
+    # n = 12 and 11 are above verify.SWEEP_LIMIT, so verify-theorems skips these sweeps
+    T = entry(name).payload
+    kernels = {kernel(T, P).members for P in congruence_lattice(T)}
+    checks = verify._subset_sweep_checks(name, T, kernels)
+    assert len(checks) == 3 and all(c.passed for c in checks), [c.line() for c in checks]
+    done(13, f"{name}: D1+D2, t1..t6 closure and the closure implications agree with the "
+             f"kernels on all {2 ** (T.n - 1)} subsets containing 1")
 
 
 if __name__ == "__main__":

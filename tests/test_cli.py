@@ -65,6 +65,21 @@ def test_validate_broken_file_is_exit_2(tmp_path, capsys):
     assert "error:" in err and "RESULT" not in out
 
 
+def test_validate_undecodable_file_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.olat"
+    bad.write_bytes("olat 1\nn 1\nname 0 \u00e9\ncomp 0 0\n".encode("latin-1"))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == "" and err.startswith(f"error: cannot read {bad}")
+
+
+def test_derive_to_missing_directory_is_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.ioa"
+    code, out, err = run(capsys, "derive", "--catalog", "bool4", "--out", str(target))
+    assert code == 2
+    assert out == "" and err.startswith(f"error: cannot write {target}")
+
+
 def test_validate_strong_flag_failure_is_exit_1(capsys):
     code, out, _ = run(capsys, "validate", "--catalog", "fig1_o6", "--strong")
     assert code == 1
