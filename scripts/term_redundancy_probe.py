@@ -15,26 +15,26 @@ import sys
 
 from orthokit import catalog
 from orthokit.congruence import subsets_with_one
-from orthokit.terms import builtin_terms, closed_under_term
-
-
-def classify(T, terms, D):
-    return all(closed_under_term(T, D, t).ok for t in terms)
+from orthokit.terms import builtin_terms, closed_subsets
 
 
 def main(max_n=8):
-    names = list(builtin_terms())
     terms = builtin_terms()
+    names = list(terms)
     reducts = [e for e in catalog() if e.kind == "implication" and e.payload.n <= max_n]
     print(f"models: {', '.join(e.name for e in reducts)}")
+    # closure of every subset under each term, one table per term and model
+    verdicts = {}
+    for e in reducts:
+        subsets = list(subsets_with_one(e.payload))
+        verdicts[e.name] = (subsets, {k: closed_subsets(e.payload, subsets, t) for k, t in terms.items()})
     redundant_everywhere = set(names)
     for dropped in names:
-        kept = [terms[k] for k in names if k != dropped]
         disagreements = []
         for e in reducts:
-            T = e.payload
-            full = {D for D in subsets_with_one(T) if classify(T, terms.values(), D)}
-            part = {D for D in subsets_with_one(T) if classify(T, kept, D)}
+            subsets, closed = verdicts[e.name]
+            full = {D for i, D in enumerate(subsets) if all(closed[k][i] for k in names)}
+            part = {D for i, D in enumerate(subsets) if all(closed[k][i] for k in names if k != dropped)}
             if full != part:
                 extra = min((sorted(D) for D in part - full), default=None)
                 disagreements.append((e.name, len(part) - len(full), extra))

@@ -293,6 +293,7 @@ def find_interval_orthocomplementation(L: OrtholatticeTable, p: int) -> Interval
     """
     if not 0 <= p < L.n:
         raise BadIndex(p, L.n)
+    _check_tables(L.n, (L.join, L.meet), (L.comp,), (L.bot, L.top))
     if L.n > WITNESS_SEARCH_LIMIT:
         raise TooLarge(L.n, WITNESS_SEARCH_LIMIT)
     members = interval(L, p)
@@ -361,6 +362,7 @@ def is_strong(L: OrtholatticeTable) -> StrongnessResult:
     Returns the full witness family, or the least p whose interval has none.
     Every derived structure uses the stored family; it is never re-searched.
     """
+    _check_tables(L.n, (L.join, L.meet), (L.comp,), (L.bot, L.top))
     if L.n > WITNESS_SEARCH_LIMIT:
         raise TooLarge(L.n, WITNESS_SEARCH_LIMIT)
     witnesses = []

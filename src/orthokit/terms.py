@@ -82,15 +82,25 @@ def _walk(node: TermNode):
             stack.append(cur.right)
 
 
-def term_of(root: TermNode) -> Term:
-    """Wrap a tree, inferring arities from the largest variable indices used."""
-    xar = yar = 0
-    for node in _walk(root):
-        if isinstance(node, XVar):
-            xar = max(xar, node.index + 1)
-        elif isinstance(node, YVar):
-            yar = max(yar, node.index + 1)
-    return Term(root, xar, yar)
+def _fold(root: TermNode, one, x, y, product):
+    """Value of the tree computed bottom-up: `one` at 1, x(i) at x_i, y(j) at y_j,
+    and product(left, right) at each product node.
+
+    Reversed preorder lists each product right after its right subtree, which
+    follows its left subtree, so the two values it needs are the top of a stack.
+    """
+    stack = []
+    for node in reversed(list(_walk(root))):
+        if isinstance(node, Bullet):
+            right = stack.pop()
+            stack[-1] = product(stack[-1], right)
+        elif isinstance(node, Const1):
+            stack.append(one)
+        elif isinstance(node, XVar):
+            stack.append(x(node.index))
+        else:
+            stack.append(y(node.index))
+    return stack[0]
 
 
 def eval_term(T: ImplicationTable, term: Term, xs, ys) -> int:
@@ -99,17 +109,7 @@ def eval_term(T: ImplicationTable, term: Term, xs, ys) -> int:
         raise ArityMismatch(f"expected {term.xarity} x-values, got {len(xs)}")
     if len(ys) != term.yarity:
         raise ArityMismatch(f"expected {term.yarity} y-values, got {len(ys)}")
-    return _value(T, term.root, xs, ys)
-
-
-def _value(T: ImplicationTable, node: TermNode, xs, ys) -> int:
-    if isinstance(node, Bullet):
-        return T.bullet[_value(T, node.left, xs, ys)][_value(T, node.right, xs, ys)]
-    if isinstance(node, Const1):
-        return T.one
-    if isinstance(node, XVar):
-        return xs[node.index]
-    return ys[node.index]
+    return _fold(term.root, T.one, xs.__getitem__, ys.__getitem__, lambda l, r: T.bullet[l][r])
 
 
 def _check_scan_budget(T: ImplicationTable, term: Term, ysize: int) -> None:
@@ -121,45 +121,19 @@ def _check_scan_budget(T: ImplicationTable, term: Term, ysize: int) -> None:
 
 
 # A table lists a subterm's values at every assignment of its own free
-# variables, one byte each, in `product` order.  Variables are numbered
+# variables, one byte each, in `product` order.  Variables are indexed
 # canonically: x_i is i and y_j is xarity + j, so x-variables come first, as
 # in the scans the tables replace.  No table exceeds the budgeted scan size.
 def _tabulate(T: ImplicationTable, term: Term, ydomain) -> tuple[tuple[int, ...], bytes]:
-    """Variables and value table of the root, built bottom-up once per distinct subterm."""
+    """Variables and value table of the root, built bottom-up once per node."""
     n = T.n
     size = [n] * term.xarity + [len(ydomain)] * term.yarity
     pad = bytes(256 - n)
     rows = [bytes(row) + pad for row in T.bullet]
     cols = [bytes(col) + pad for col in zip(*T.bullet)]
-    # Hash-consing: equal subterms get one number, keyed by (kind, index) for
-    # a leaf and by the children's numbers for a product, so no lookup
-    # rehashes a subtree.  number[id(node)] maps each node object to its number.
-    number: dict[int, int] = {}
-    numbered: dict[tuple, int] = {}
-    tables: list[tuple[tuple[int, ...], bytes]] = []
-    # reversed preorder puts every node after both of its children
-    for node in reversed(list(_walk(term.root))):
-        if id(node) in number:
-            continue
-        if isinstance(node, Bullet):
-            key = (number[id(node.left)], number[id(node.right)])
-        elif isinstance(node, Const1):
-            key = (Const1,)
-        else:
-            key = (type(node), node.index)
-        num = numbered.get(key)
-        if num is None:
-            num = numbered[key] = len(tables)
-            if isinstance(node, Bullet):
-                tables.append(_bullet(tables[key[0]], tables[key[1]], size, rows, cols))
-            elif isinstance(node, Const1):
-                tables.append(((), bytes((T.one,))))
-            elif isinstance(node, XVar):
-                tables.append(((node.index,), bytes(range(n))))
-            else:
-                tables.append(((term.xarity + node.index,), bytes(ydomain)))
-        number[id(node)] = num
-    return tables[number[id(term.root)]]
+    carrier, yvals = bytes(range(n)), bytes(ydomain)
+    return _fold(term.root, ((), bytes((T.one,))), lambda i: ((i,), carrier),
+                 lambda j: ((term.xarity + j,), yvals), lambda l, r: _bullet(l, r, size, rows, cols))
 
 
 def _bullet(left, right, size, rows, cols) -> tuple[tuple[int, ...], bytes]:
@@ -387,17 +361,26 @@ def ideal_closure(T: ImplicationTable, G) -> KernelSet:
 
 
 def random_term(rng: random.Random, xarity: int = 2, yarity: int = 2, max_depth: int = 5) -> Term:
-    """One random term tree; leaves are drawn from 1, x-vars, and y-vars."""
+    """One random term tree; leaves are drawn from 1, x-vars, and y-vars.
+
+    The root is a product.  Below it, nodes are drawn in preorder, and a node
+    at depth d is a leaf when d reaches `max_depth` or with probability 0.3.
+    """
     leaves: list[TermNode] = [Const1()]
     leaves += [XVar(i) for i in range(xarity)]
     leaves += [YVar(j) for j in range(yarity)]
-
-    def node(depth: int) -> TermNode:
-        if depth >= max_depth or rng.random() < 0.3:
-            return leaves[rng.randrange(len(leaves))]
-        return Bullet(node(depth + 1), node(depth + 1))
-
-    return Term(Bullet(node(1), node(1)), xarity, yarity)
+    # children drawn so far of each unfinished product; the next node's depth is the stack's length
+    open_products: list[list[TermNode]] = [[]]
+    while True:
+        if len(open_products) < max_depth and rng.random() >= 0.3:
+            open_products.append([])
+            continue
+        node = leaves[rng.randrange(len(leaves))]
+        while len(open_products[-1]) == 1:
+            node = Bullet(open_products.pop()[0], node)
+            if not open_products:
+                return Term(node, xarity, yarity)
+        open_products[-1].append(node)
 
 
 def random_ideal_terms(T: ImplicationTable, count: int, seed: int = 0) -> list[Term]:
@@ -419,59 +402,46 @@ def random_ideal_terms(T: ImplicationTable, count: int, seed: int = 0) -> list[T
 
 def parse_term(text: str) -> Term:
     """Parse the prefix S-expression syntax; arities are inferred from the variables."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    if not tokens:
+    words = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not words:
         raise ParseError("empty term")
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of term")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def atom(tok: str) -> TermNode:
-        if tok == "1":
-            return Const1()
-        if len(tok) > 1 and tok[0] in "xy" and tok[1:].isdigit():
-            return XVar(int(tok[1:])) if tok[0] == "x" else YVar(int(tok[1:]))
-        raise ParseError(f"unknown token {tok!r}")
-
-    def expr() -> TermNode:
-        tok = take()
-        if tok == "(":
-            head = take()
+    tokens = iter(words)
+    # children read so far of each product whose ')' is still to come, innermost last
+    open_products: list[list[TermNode]] = []
+    xar = yar = 0
+    for tok in tokens:
+        if open_products and len(open_products[-1]) == 2:
+            if tok != ")":
+                raise ParseError(f"expected ')', got {tok!r}")
+            node = Bullet(*open_products.pop())
+        elif tok == "(":
+            head = next(tokens, None)
+            if head is None:
+                break  # the term ends inside '('
             if head != "b":
                 raise ParseError(f"expected 'b' after '(', got {head!r}")
-            left = expr()
-            right = expr()
-            closing = take()
-            if closing != ")":
-                raise ParseError(f"expected ')', got {closing!r}")
-            return Bullet(left, right)
-        if tok == ")":
+            open_products.append([])
+            continue
+        elif tok == ")":
             raise ParseError("unexpected ')'")
-        return atom(tok)
-
-    root = expr()
-    if peek() is not None:
-        raise ParseError(f"trailing input {peek()!r}")
-    return term_of(root)
+        elif tok == "1":
+            node = Const1()
+        elif len(tok) > 1 and tok[0] in "xy" and tok[1:].isdigit():
+            index = int(tok[1:])
+            if tok[0] == "x":
+                node, xar = XVar(index), max(xar, index + 1)
+            else:
+                node, yar = YVar(index), max(yar, index + 1)
+        else:
+            raise ParseError(f"unknown token {tok!r}")
+        if not open_products:
+            rest = next(tokens, None)
+            if rest is not None:
+                raise ParseError(f"trailing input {rest!r}")
+            return Term(node, xar, yar)
+        open_products[-1].append(node)
+    raise ParseError("unexpected end of term")
 
 
 def serialize_term(term: Term) -> str:
-    def fmt(node: TermNode) -> str:
-        if isinstance(node, Bullet):
-            return f"(b {fmt(node.left)} {fmt(node.right)})"
-        if isinstance(node, Const1):
-            return "1"
-        if isinstance(node, XVar):
-            return f"x{node.index}"
-        return f"y{node.index}"
-
-    return fmt(term.root)
+    return _fold(term.root, "1", "x{}".format, "y{}".format, "(b {} {})".format)

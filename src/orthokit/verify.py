@@ -168,34 +168,26 @@ def _reduct_checks(name: str, T, seed: int) -> list[Check]:
 
 def _subset_sweep_checks(name: str, T, kernels: set[frozenset[int]]) -> list[Check]:
     """Scan every subset containing 1 and compare all three ideal criteria."""
-    rules_ok = closure_ok = chain_ok = True
-    rules_fail = closure_fail = None
     subsets = list(cong.subsets_with_one(T))
     closed = {t: tms.closed_subsets(T, subsets, term) for t, term in tms.builtin_terms().items()}
-    for i, D in enumerate(subsets):
-        rules = bool(cong.check_d1(T, D)) and bool(cong.check_d2(T, D))
-        is_kernel = D in kernels
+
+    def rebuilt(D) -> bool:
         try:
             P = cong.theta_from_kernel(T, D)
-            theta = cong.kernel(T, P).members == D and cong.is_congruence(T, P).ok
+            return cong.kernel(T, P).members == D and cong.is_congruence(T, P).ok
         except AlgebraError:
-            theta = False
-        if not (rules == is_kernel == theta):
-            rules_ok = False
-            rules_fail = rules_fail or sorted(D)
-        if all(oks[i] for oks in closed.values()) != is_kernel:
-            closure_ok = False
-            closure_fail = closure_fail or sorted(D)
-        if not tms._lemma_chain(T, D, lambda t: closed[t][i]).ok:
-            chain_ok = False
-    checks = [
-        Check(f"{name}: D1+D2 = kernel = rebuilt congruence, all subsets", rules_ok,
-              "" if rules_ok else f"first mismatch at D={rules_fail}"),
-        Check(f"{name}: closed under t1..t6 = kernel, all subsets", closure_ok,
-              "" if closure_ok else f"first mismatch at D={closure_fail}"),
-        Check(f"{name}: closure implications for D1/D2 never violated", chain_ok),
+            return False
+
+    return [
+        first_failure(f"{name}: D1+D2 = kernel = rebuilt congruence, all subsets", (
+            f"first mismatch at D={sorted(D)}" for D in subsets
+            if not ((cong.check_d1(T, D).ok and cong.check_d2(T, D).ok) == (D in kernels) == rebuilt(D)))),
+        first_failure(f"{name}: closed under t1..t6 = kernel, all subsets", (
+            f"first mismatch at D={sorted(D)}" for i, D in enumerate(subsets)
+            if all(oks[i] for oks in closed.values()) != (D in kernels))),
+        Check(f"{name}: closure implications for D1/D2 never violated",
+              all(tms._lemma_chain(T, D, lambda t: closed[t][i]).ok for i, D in enumerate(subsets))),
     ]
-    return checks
 
 
 def entry_checks(entry: cat.CatalogEntry, seed: int = 0) -> list[Check]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -300,6 +302,22 @@ def test_witness_search_guard():
         find_interval_orthocomplementation(big, 0)
     with pytest.raises(TooLarge):
         is_strong(big)
+
+
+@pytest.mark.parametrize("search", [is_strong, lambda L: find_interval_orthocomplementation(L, 0)],
+                         ids=["is_strong", "find_interval_orthocomplementation"])
+@pytest.mark.parametrize("corrupt", [
+    lambda L: dataclasses.replace(L, comp=L.comp[:-1]),
+    lambda L: dataclasses.replace(L, join=((L.n, *L.join[0][1:]), *L.join[1:])),
+    lambda L: dataclasses.replace(L, comp=(-1, *L.comp[1:])),
+], ids=["comp-one-short", "join-entry-n", "comp-entry-negative"])
+def test_strongness_rejects_malformed_tables(search, corrupt):
+    """A table that validate_ortholattice refuses is refused, not answered "not strong at p=0"."""
+    L = corrupt(entry("bool4").payload)
+    with pytest.raises(BadIndex):
+        validate_ortholattice(L)
+    with pytest.raises(BadIndex):
+        search(L)
 
 
 def test_boolean_witnesses_are_relative_complements():

@@ -100,21 +100,3 @@ def test_carriers_beyond_one_byte_values_are_refused_before_tabulating():
     with pytest.raises(TooLarge):
         closed_under_term(T, {T.one}, t1)
 
-
-def test_each_distinct_product_subterm_is_tabulated_once(monkeypatch):
-    """Equal subterms built as separate objects, like the two copies of (b x0 x1) in t4,
-    share one table."""
-    from orthokit import terms
-
-    calls = []
-    real = terms._bullet
-    monkeypatch.setattr(terms, "_bullet", lambda *args: calls.append(1) or real(*args))
-    T = entry("mo2_reduct").payload
-    rng = random.Random(5)
-    t4 = builtin_terms()["t4"]
-    assert t4.root.left.left is not t4.root.right.left and t4.root.left.left == t4.root.right.left
-    for term in list(builtin_terms().values()) + [random_term(rng, max_depth=6) for _ in range(30)]:
-        products = {node for node in terms._walk(term.root) if isinstance(node, terms.Bullet)}
-        calls.clear()
-        terms._tabulate(T, term, range(T.n))
-        assert len(calls) == len(products)

@@ -299,7 +299,50 @@ def test_round_trip_random_terms_through_text(seed):
     assert parse_term(serialize_term(t)).root == t.root
 
 
-@pytest.mark.parametrize("bad", ["", "(b x0)", "(b x0 y0", "(c x0 y0)", "x9q", "(b x0 y0) x1", ")", "(b 1 1) ("])
+PARSE_ERRORS = {
+    "": "empty term",
+    "(b x0)": "unexpected ')'",
+    "(b x0 y0": "unexpected end of term",
+    "(c x0 y0)": "expected 'b' after '(', got 'c'",
+    "x9q": "unknown token 'x9q'",
+    "(b x0 y0) x1": "trailing input 'x1'",
+    ")": "unexpected ')'",
+    "(b 1 1) (": "trailing input '('",
+    "(b x0 y0 x1)": "expected ')', got 'x1'",
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_rejects_malformed_terms(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_term(bad)
+    assert str(exc.value) == PARSE_ERRORS[bad]
+
+
+# x0*(x0*(...*(x0*y0))), deeper than Python's recursion limit
+DEEP = "(b x0 " * 5000 + "y0" + ")" * 5000
+
+
+def test_a_deep_term_round_trips_through_text():
+    # compared as text: the generated Term.__eq__ recurses
+    t = parse_term(DEEP)
+    assert (t.xarity, t.yarity) == (1, 1)
+    assert serialize_term(t) == DEEP
+
+
+def test_a_deep_term_evaluates_as_its_closure_verdicts_say():
+    T = entry("bool4_reduct").payload
+    t = parse_term(DEEP)
+    assert is_ideal_term(T, t).ok == all(eval_term(T, t, [x], [T.one]) == T.one for x in range(T.n))
+    for D in subsets_containing(T.n, T.one):
+        closed = all(eval_term(T, t, [x], [y]) in D for x in range(T.n) for y in D)
+        assert closed_under_term(T, D, t).ok == closed
+
+
+def test_ideals_cli_answers_for_a_deep_term(capsys):
+    from orthokit.cli import main
+
+    assert main(["ideals", "--catalog", "bool4_reduct", "--term", DEEP, "--check", "1,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "check ideal-term PASS" in lines
+    assert "check subset-closed-under-term PASS" in lines
