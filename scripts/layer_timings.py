@@ -1,12 +1,9 @@
 #!/usr/bin/env python3
 """Time the order layers on Boolean 2^k and on every principal filter of one families pass.
 
-Boolean 2^k comes from `perfbench/families.py`.  `is_strong` refuses carriers
-above 16 elements, so its interval witnesses are the relative complements
-x -> comp(x) v p of `core.relative_complement`, each checked with
-`validate_interval_witness`.  Every time
-is the best of `reps` in-process calls, in seconds; `reconstruct` includes
-the identities, `induced_join` and the validator.
+Boolean 2^k comes from `perfbench/families.py`.  Every time is the best of
+`reps` in-process calls, in seconds; `reconstruct` includes the identities,
+`induced_join` and the validator.
 
 Usage: PYTHONPATH=src python3 scripts/layer_timings.py <k> [reps]
        PYTHONPATH=src python3 scripts/layer_timings.py --families <seed> [reps]
@@ -38,18 +35,13 @@ def boolean(k, reps):
     lines = ["olat 1", f"n {m.n}"] + [f"le {i} {j}" for i, j in m.covers]
     lines += [f"comp {i} {m.comp[i]}" for i in range(m.n) if i <= m.comp[i]]
     L = catalog_io.parse_olat("\n".join(lines) + "\n")
-    witnesses = []
-    for p in range(L.n):
-        w = core.relative_complement(L, p)
-        if not core.validate_interval_witness(L, w):
-            raise SystemExit(f"relative complement is no witness at p={p}")
-        witnesses.append(w)
-    S = core.as_orthosemilattice(L, witnesses)
+    S = core.as_orthosemilattice(L)
     T = imp.derive_bullet(S)
     P = L.poset()
     return {
         "n": L.n,
         "lattice_from_order_s": best(lambda: core.lattice_from_order(P), reps),
+        "is_strong_s": best(lambda: core.is_strong(L), reps),
         "validate_orthosemilattice_s": best(lambda: core.validate_orthosemilattice(S), reps),
         "reconstruct_s": best(lambda: imp.reconstruct_orthosemilattice(T), reps),
         "overlap_s": best(lambda: core.check_overlap_consistency(S), reps),

@@ -129,7 +129,7 @@ def cmd_congruences(args) -> list[str | Check]:
     T = _require_reduct(entry)
     out: list[str | Check] = [f"command: congruences {entry.name} method={args.method}"]
     brute = closure = None
-    if args.method in ("brute", "both"):
+    if args.method != "closure" or T.n <= cong.BRUTE_FORCE_LIMIT:
         brute = cong.all_congruences_bruteforce(T)
     if args.method in ("closure", "both"):
         closure = cong.congruence_lattice(T)
@@ -140,8 +140,7 @@ def cmd_congruences(args) -> list[str | Check]:
         out.append(Check("methods-agree", set(brute) == set(closure),
                          f"brute={len(brute)} closure={len(closure)}"))
     if T.n <= cong.BRUTE_FORCE_LIMIT:
-        inj = cong.verify_kernel_injectivity(T)
-        out.append(Check("kernel-map-injective", inj.ok))
+        out.append(Check("kernel-map-injective", next(cong.kernel_collisions(T, brute), None) is None))
     else:
         kernels = {cong.kernel(T, P).members for P in listed}
         out.append(Check("kernels-distinct", len(kernels) == len(listed)))
@@ -151,11 +150,11 @@ def cmd_congruences(args) -> list[str | Check]:
 def cmd_ideals(args) -> list[str | Check]:
     entry = _load(args)
     T = _require_reduct(entry)
+    if args.term is None and not args.check and not args.enumerate:
+        raise UsageError("give one of --check, --enumerate, --term")
     out: list[str | Check] = [f"command: ideals {entry.name}"]
-    did_something = False
 
     if args.term is not None:
-        did_something = True
         try:
             term = tms.parse_term(args.term)
         except ParseError as exc:
@@ -168,7 +167,6 @@ def cmd_ideals(args) -> list[str | Check]:
             out.append(Check("subset-closed-under-term", cv.ok, "" if cv.ok else f"witness {cv.witness}"))
 
     if args.check and args.term is None:
-        did_something = True
         D = _parse_subset(args.check, T)
         d1 = cong.check_d1(T, D)
         d2 = cong.check_d2(T, D)
@@ -178,19 +176,18 @@ def cmd_ideals(args) -> list[str | Check]:
         terms_verdict = tms.is_ideal_by_terms(T, D)
         out.append("info t1..t6 closure "
                    + ("holds" if terms_verdict.ok else f"fails at {terms_verdict.witness[0]}"))
+        # theta_from_kernel raises unless it returns a congruence with kernel D
         try:
-            P = cong.theta_from_kernel(T, D)
-            theta_ok = cong.kernel(T, P).members == frozenset(D)
-            out.append(f"info congruence from subset: {_fmt_partition(T, P)}")
+            theta = _fmt_partition(T, cong.theta_from_kernel(T, D))
         except AlgebraError:
-            theta_ok = False
-            out.append("info congruence from subset: none")
+            theta = None
+        theta_ok = theta is not None
+        out.append(f"info congruence from subset: {theta or 'none'}")
         out.append(Check("verdicts-agree", rules == terms_verdict.ok == theta_ok,
                          f"rules={rules} terms={terms_verdict.ok} congruence={theta_ok}"))
         out.append(f"info ideal: {'yes' if terms_verdict.ok else 'no'}")
 
     if args.enumerate:
-        did_something = True
         kernels = sorted(
             (cong.kernel(T, P).members for P in cong.congruence_lattice(T)),
             key=lambda k: (len(k), sorted(k)),
@@ -203,9 +200,6 @@ def cmd_ideals(args) -> list[str | Check]:
             swept = [D for D, *oks in zip(subsets, *closed) if all(oks)]
             out.append(Check("ideals-match-kernels", set(swept) == set(kernels),
                              f"swept={len(swept)} kernels={len(kernels)}"))
-
-    if not did_something:
-        raise UsageError("give one of --check, --enumerate, --term")
     return out
 
 

@@ -275,13 +275,19 @@ def kernel(T: ImplicationTable, P: Partition) -> KernelSet:
 
 def verify_kernel_injectivity(T: ImplicationTable) -> Verdict:
     """Distinct congruences must have distinct kernels; witness is a colliding pair."""
+    first = next(kernel_collisions(T, all_congruences_bruteforce(T)), None)
+    return Verdict(first is None, first)
+
+
+def kernel_collisions(T: ImplicationTable, congruences):
+    """Each congruence of the list whose kernel an earlier one has, as (earlier, later)."""
     seen: dict[frozenset[int], Partition] = {}
-    for P in all_congruences_bruteforce(T):
+    for P in congruences:
         k = kernel(T, P).members
         if k in seen:
-            return Verdict(False, (seen[k], P))
-        seen[k] = P
-    return Verdict(True)
+            yield seen[k], P
+        else:
+            seen[k] = P
 
 
 def subsets_with_one(T: ImplicationTable):

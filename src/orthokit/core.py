@@ -3,7 +3,7 @@
 Elements are dense indices 0..n-1 and every operation is a precomputed
 lookup table, so all laws are decided by exhaustive scans.  Tables are
 frozen after construction; everything here is a pure function of its
-inputs.  Carriers are expected to stay small (n <= 16).
+inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
 from .report import Check, CheckReport, Verdict, first_failure
 
 # Backtracking over candidate involutions is exponential in the interval
-# size, so the witness search refuses carriers above this bound.
+# size, so the witness search refuses intervals above this bound.
 WITNESS_SEARCH_LIMIT = 16
 
 Row = tuple[int, ...]
@@ -289,14 +289,15 @@ def find_interval_orthocomplementation(L: OrtholatticeTable, p: int) -> Interval
     Elements of the interval are paired in ascending index order, candidate
     images are tried in ascending index order, so the first solution found
     is the lexicographically least one.  Raises WitnessNotFound carrying the
-    deepest element that could not be paired.
+    deepest element that could not be paired, and TooLarge, before searching,
+    for an interval above WITNESS_SEARCH_LIMIT elements.
     """
     if not 0 <= p < L.n:
         raise BadIndex(p, L.n)
     _check_tables(L.n, (L.join, L.meet), (L.comp,), (L.bot, L.top))
-    if L.n > WITNESS_SEARCH_LIMIT:
-        raise TooLarge(L.n, WITNESS_SEARCH_LIMIT)
     members = interval(L, p)
+    if len(members) > WITNESS_SEARCH_LIMIT:
+        raise TooLarge(len(members), WITNESS_SEARCH_LIMIT, "interval size")
     jn, mt, top = L.join, L.meet, L.top
     le = L.le
     assign: dict[int, int] = {}
@@ -306,17 +307,9 @@ def find_interval_orthocomplementation(L: OrtholatticeTable, p: int) -> Interval
         if jn[a][c] != top or mt[a][c] != p:
             return False
         # antitonicity against every pair assigned so far, plus the new one
-        trial = dict(assign)
-        trial[a] = c
-        trial[c] = a
-        for x in (a, c):
-            cx = trial[x]
-            for y, cy in trial.items():
-                if le(x, y) and not le(cy, cx):
-                    return False
-                if le(y, x) and not le(cx, cy):
-                    return False
-        return True
+        trial = {**assign, a: c, c: a}
+        return all((not le(x, y) or le(cy, trial[x])) and (not le(y, x) or le(trial[x], cy))
+                   for x in (a, c) for y, cy in trial.items())
 
     def backtrack(i: int) -> bool:
         nonlocal deepest
@@ -363,8 +356,6 @@ def is_strong(L: OrtholatticeTable) -> StrongnessResult:
     Every derived structure uses the stored family; it is never re-searched.
     """
     _check_tables(L.n, (L.join, L.meet), (L.comp,), (L.bot, L.top))
-    if L.n > WITNESS_SEARCH_LIMIT:
-        raise TooLarge(L.n, WITNESS_SEARCH_LIMIT)
     witnesses = []
     for p in range(L.n):
         w = IntervalWitness(p, tuple(L.comp)) if p == L.bot else relative_complement(L, p)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 
 from .congruence import KernelSet, _d2_failure, check_d1, congruence_closure, kernel
 from .core import _mask
@@ -113,11 +113,18 @@ def eval_term(T: ImplicationTable, term: Term, xs, ys) -> int:
 
 
 def _check_scan_budget(T: ImplicationTable, term: Term, ysize: int) -> None:
+    """Refuse a declared arity, or T.n ** xarity * ysize ** yarity assignments, over the budget;
+    the product stops, and is named, at the first factor that takes it over."""
     if T.n > 256:
         raise TooLarge(T.n, 256, "carrier size for one-byte term tables")
-    work = T.n ** term.xarity * ysize ** term.yarity
-    if work > TERM_SCAN_LIMIT:
-        raise TooLarge(work, TERM_SCAN_LIMIT, "term scan size")
+    arity = term.xarity + term.yarity
+    if arity > TERM_SCAN_LIMIT:
+        raise TooLarge(arity, TERM_SCAN_LIMIT, "term scan size")
+    work = 1
+    for size in chain(repeat(T.n, term.xarity), repeat(ysize, term.yarity)):
+        work *= size
+        if work > TERM_SCAN_LIMIT:
+            raise TooLarge(work, TERM_SCAN_LIMIT, "term scan size")
 
 
 # A table lists a subterm's values at every assignment of its own free
@@ -426,8 +433,11 @@ def parse_term(text: str) -> Term:
             raise ParseError("unexpected ')'")
         elif tok == "1":
             node = Const1()
-        elif len(tok) > 1 and tok[0] in "xy" and tok[1:].isdigit():
-            index = int(tok[1:])
+        elif len(tok) > 1 and tok[0] in "xy" and tok[1:].isdecimal():
+            try:
+                index = int(tok[1:])
+            except ValueError:  # more digits than int() reads
+                raise ParseError(f"index of {tok[0]} has {len(tok) - 1} digits") from None
             if tok[0] == "x":
                 node, xar = XVar(index), max(xar, index + 1)
             else:

@@ -124,12 +124,9 @@ def _reduct_checks(name: str, T, seed: int) -> list[Check]:
             f"{name}: closure and brute-force congruences agree",
             (f"{P.blocks()} found only by {'closure' if P in lattice else 'brute force'}" for P in differ),
         ))
-        inj = cong.verify_kernel_injectivity(T)
-        detail = ""
-        if not inj.ok:
-            P, Q = inj.witness
-            detail = f"{P.blocks()} and {Q.blocks()} share the kernel {sorted(cong.kernel(T, P).members)}"
-        checks.append(Check(f"{name}: kernel map injective", inj.ok, detail))
+        checks.append(first_failure(f"{name}: kernel map injective", (
+            f"{P.blocks()} and {Q.blocks()} share the kernel {sorted(cong.kernel(T, P).members)}"
+            for P, Q in cong.kernel_collisions(T, brute))))
     else:
         checks.append(first_failure(
             f"{name}: every closure congruence is compatible",
@@ -172,9 +169,10 @@ def _subset_sweep_checks(name: str, T, kernels: set[frozenset[int]]) -> list[Che
     closed = {t: tms.closed_subsets(T, subsets, term) for t, term in tms.builtin_terms().items()}
 
     def rebuilt(D) -> bool:
+        # theta_from_kernel raises unless its result is a congruence with kernel D
         try:
-            P = cong.theta_from_kernel(T, D)
-            return cong.kernel(T, P).members == D and cong.is_congruence(T, P).ok
+            cong.theta_from_kernel(T, D)
+            return True
         except AlgebraError:
             return False
 

@@ -286,3 +286,43 @@ def test_calls_in_one_process_match_fresh_calls_after_a_usage_error(capsys):
     good = ("verify-theorems", "--catalog", "mo2_reduct")
     calls = [bad, good, good, ("verify-theorems", "--catalog", "mo2_reduct", "--seed", "7"), good]
     assert [run(capsys, *argv) for argv in calls] == [fresh(*argv) for argv in calls]
+
+
+@pytest.mark.parametrize("term, message", [
+    ("(b x4000000 y0)", "error: term scan size 4000002 exceeds limit 1000000"),
+    ("(b x0 y4000000)", "error: term scan size 4000002 exceeds limit 1000000"),
+    ("(b x0 y\u00b2)", "error: bad term: unknown token"),
+    ("x" + "1" * 5000, "error: bad term: index of x has 5000 digits"),
+], ids=["x-arity", "y-arity", "superscript", "5000-digits"])
+def test_unscannable_terms_are_exit_2(capsys, term, message):
+    code, out, err = run(capsys, "ideals", "--catalog", "bool4_reduct", "--term", term)
+    assert code == 2 and out == ""
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-theorems", "--catalog", "bool8_reduct"),
+    ("congruences", "--catalog", "bool8_reduct", "--method", "both"),
+], ids=["verify-theorems", "congruences-both"])
+def test_brute_force_congruences_are_enumerated_once(monkeypatch, capsys, argv):
+    calls = []
+    real = orthokit.congruence.all_congruences_bruteforce
+
+    def counted(T):
+        calls.append(T.n)
+        return real(T)
+
+    monkeypatch.setattr(orthokit.congruence, "all_congruences_bruteforce", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "kernel" in out
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("bool4", "error: bool4 is not an implication table"),
+    ("bool4_reduct", "error: give one of --check, --enumerate, --term"),
+])
+def test_ideals_without_a_query_reports_a_bad_input_first(capsys, name, message):
+    code, out, err = run(capsys, "ideals", "--catalog", name)
+    assert code == 2 and out == ""
+    assert err.startswith(message)

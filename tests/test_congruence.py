@@ -183,6 +183,23 @@ def test_kernel_map_is_injective_on_small_reducts():
     assert verify_kernel_injectivity(SINGLETON).ok
 
 
+def test_a_kernel_collision_is_named_the_same_by_every_caller(monkeypatch, capsys):
+    from orthokit import congruence, verify
+    from orthokit.cli import main
+
+    T = entry("bool4_reduct").payload
+    # merging 0 and 1 keeps the kernel {3} of the identity: a collision the real table never has
+    ident, merged = Partition.identity(4), Partition.from_blocks(4, [(0, 1), (2,), (3,)])
+    monkeypatch.setattr(congruence, "all_congruences_bruteforce", lambda T: [ident, merged])
+    v = verify_kernel_injectivity(T)
+    assert not v.ok and v.witness == (ident, merged)
+    (line,) = [c.line() for c in verify._reduct_checks("bool4_reduct", T, 0) if c.name.endswith("kernel map injective")]
+    assert line == ("check bool4_reduct: kernel map injective FAIL "
+                    "((0,), (1,), (2,), (3,)) and ((0, 1), (2,), (3,)) share the kernel [3]")
+    assert main(["congruences", "--catalog", "bool4_reduct", "--method", "brute"]) == 1
+    assert "check kernel-map-injective FAIL" in capsys.readouterr().out.splitlines()
+
+
 # --- kernel characterization ----------------------------------------------------------
 
 

@@ -296,12 +296,15 @@ def test_search_agrees_with_the_oracle_on_every_small_interval():
 def test_witness_search_guard():
     from orthokit.catalog_io import boolean_lattice
     from orthokit.errors import TooLarge
+    from test_relabeling import times_chain2
 
     big = boolean_lattice(5)
     with pytest.raises(TooLarge):
         find_interval_orthocomplementation(big, 0)
-    with pytest.raises(TooLarge):
-        is_strong(big)
+    # hexagon x 2^3: the first interval without a relative-complement witness has 3 * 8 = 24 elements
+    o6_cube = times_chain2(times_chain2(times_chain2(entry("fig1_o6").payload)))
+    with pytest.raises(TooLarge, match="interval size 24"):
+        is_strong(o6_cube)
 
 
 @pytest.mark.parametrize("search", [is_strong, lambda L: find_interval_orthocomplementation(L, 0)],

@@ -319,6 +319,21 @@ def test_parse_rejects_malformed_terms(bad):
     assert str(exc.value) == PARSE_ERRORS[bad]
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("(b x0 y\u00b2)", "unknown token 'y\u00b2'"),
+    ("x" + "1" * 5000, "index of x has 5000 digits"),
+], ids=["superscript", "5000-digits"])
+def test_parse_rejects_indices_int_cannot_read(bad, message):
+    with pytest.raises(ParseError) as exc:
+        parse_term(bad)
+    assert str(exc.value) == message
+
+
+def test_parse_reads_every_decimal_digit_int_reads():
+    # Arabic-Indic three and four are decimal digits, as int() reads them
+    assert parse_term("(b x\u0663 y\u0664)") == parse_term("(b x3 y4)")
+
+
 # x0*(x0*(...*(x0*y0))), deeper than Python's recursion limit
 DEEP = "(b x0 " * 5000 + "y0" + ")" * 5000
 
