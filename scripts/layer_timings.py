@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the order layers on Boolean 2^k and on every principal filter of one families pass.
+"""Time the order and congruence layers on Boolean 2^k and on every principal filter of one families pass.
 
 Boolean 2^k comes from `perfbench/families.py`.  Every time is the best of
 `reps` in-process calls, in seconds; `reconstruct` includes the identities,
@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402
 import workloads  # noqa: E402
 from orthokit import catalog_io, core  # noqa: E402
+from orthokit import congruence as cong  # noqa: E402
 from orthokit import implication as imp  # noqa: E402
 
 
@@ -47,6 +48,7 @@ def boolean(k, reps):
         "overlap_s": best(lambda: core.check_overlap_consistency(S), reps),
         "identities_s": best(lambda: imp.check_ioa_identities(T), reps),
         "induced_join_s": best(lambda: imp.induced_join(T), reps),
+        "congruence_lattice_s": best(lambda: cong.congruence_lattice(T), reps),
     }
 
 
@@ -65,6 +67,7 @@ def families_pass(seed, reps):
         "validate_orthosemilattice_s": best(lambda: [core.validate_orthosemilattice(F) for F in filters], reps),
         "reconstruct_s": best(lambda: [imp.reconstruct_orthosemilattice(T) for T in tables], reps),
         "overlap_s": best(lambda: [core.check_overlap_consistency(F) for F in filters], reps),
+        "congruence_lattice_s": best(lambda: [cong.congruence_lattice(T) for T in tables], reps),
     }
 
 

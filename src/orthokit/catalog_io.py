@@ -26,6 +26,7 @@ from functools import lru_cache
 from .core import (
     OrtholatticeTable,
     OrthosemilatticeTable,
+    _cover_pairs,
     as_orthosemilattice,
     lattice_from_order,
     restrict_to_filter,
@@ -142,24 +143,11 @@ def parse_olat(text: str) -> OrtholatticeTable:
     return ortholattice_from_covers(n, le_pairs, enumerate(comp), names)
 
 
-def _cover_pairs(L: OrtholatticeTable) -> list[tuple[int, int]]:
-    n = L.n
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not L.le(i, j):
-                continue
-            if any(k != i and k != j and L.le(i, k) and L.le(k, j) for k in range(n)):
-                continue
-            out.append((i, j))
-    return out
-
-
 def serialize_olat(L: OrtholatticeTable) -> str:
     lines = ["olat 1", f"n {L.n}"]
     if L.names:
         lines += [f"name {i} {L.names[i]}" for i in range(L.n)]
-    lines += [f"le {i} {j}" for i, j in sorted(_cover_pairs(L))]
+    lines += [f"le {i} {j}" for i, j in _cover_pairs(L.poset().leq)]
     done = set()
     for i in range(L.n):
         j = L.comp[i]

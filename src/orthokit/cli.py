@@ -257,6 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorems", help="run the whole verification suite")
     group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("path", nargs="?", help="input .olat or .ioa file")
     group.add_argument("--catalog", help="one built-in model")
     group.add_argument("--all", action="store_true", help="every built-in model")
     p.add_argument("--seed", type=int, default=0, help="seed for the random ideal terms")

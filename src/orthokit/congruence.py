@@ -4,7 +4,15 @@ Partitions are canonicalized as least-representative arrays so that lists of
 congruences can be compared as plain sets.  Two enumeration routes exist: a
 backtracking search over set partitions that cuts a branch at the first
 violated compatibility constraint (the oracle, guarded at n <= 10), and
-closure of the principal congruences under join with principal congruences.
+closure of generating principal congruences under join with them.
+
+The generators are the covering pairs (a, d), d covering a in the induced
+order, whenever `induced_join` accepts the table.  Then x v y = (x*y)*y is a
+term operation and the least upper bound, so every congruence class is
+convex (a <= c <= b and a ~ b give c = c v a ~ c v b = b), Θ(a, b) is the
+join of the cover congruences along maximal chains from a and from b up to
+a v b, and the covering pairs generate every congruence.  A table whose
+induced relation is not an order with that join takes all n(n-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -12,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BadIndex, InconsistentTable, MissingOne, NotD1, NotD2, TooLarge
-from .implication import ImplicationTable
+from .core import _cover_pairs
+from .errors import BadIndex, InconsistentTable, MissingOne, NotAJoin, NotAnOrder, NotD1, NotD2, TooLarge
+from .implication import ImplicationTable, induced_join
 from .report import Verdict
 
 BRUTE_FORCE_LIMIT = 10  # Bell(10) = 115975 partitions
@@ -242,17 +251,26 @@ def congruence_join(T: ImplicationTable, P: Partition, Q: Partition) -> Partitio
 
 
 def congruence_lattice(T: ImplicationTable) -> list[Partition]:
-    """All congruences: the principal ones, closed under join with a principal one.
+    """All congruences: the generators' principal congruences, closed under join with one of them.
 
-    Every congruence is a join of principal congruences, so joining each known
-    congruence P with every principal Θ(a, b) not already below it (a and b
-    in different blocks of P) reaches them all.
+    When `induced_join` accepts the table, x v y = (x*y)*y is the least upper
+    bound of x <= y iff x*y = 1 and a term operation, so every congruence
+    class is convex: a <= c <= b and a ~ b give c = c v a ~ c v b = b.  Then
+    Θ(a, b) is the join of the cover congruences along maximal chains from a
+    and from b up to a v b, and the covering pairs generate every congruence.
+    Any other table takes every pair as a generator.  Joining each known
+    congruence P with every generator Θ(a, b) not already below it (a and b
+    in different blocks of P) reaches all joins of generators.
     """
     n = T.n
+    try:
+        induced_join(T)
+        generators = _cover_pairs([[v == T.one for v in row] for row in T.bullet])
+    except (NotAnOrder, NotAJoin):
+        generators = combinations(range(n), 2)
     principals: dict[Partition, tuple[int, int]] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            principals.setdefault(principal_congruence(T, a, b), (a, b))
+    for a, b in generators:
+        principals.setdefault(principal_congruence(T, a, b), (a, b))
     known = {Partition.identity(n), *principals}
     frontier = list(principals)
     while frontier:

@@ -155,6 +155,26 @@ def _up_down(leq) -> tuple[list[int], list[int]]:
     return [_mask(compress(count(), row)) for row in leq], [_mask(compress(count(), col)) for col in zip(*leq)]
 
 
+def _cover_pairs(leq) -> list[tuple[int, int]]:
+    """Every (a, d) of a partial order with d covering a, in ascending order.
+
+    d covers a when it lies strictly above a and nothing lies strictly
+    between them: strict_up[a] & strict_down[d] == 0.
+    """
+    up, down = _up_down(leq)
+    strict_down = [bits & ~(1 << x) for x, bits in enumerate(down)]
+    out = []
+    for a, bits in enumerate(up):
+        above = rest = bits & ~(1 << a)
+        while rest:
+            low = rest & -rest
+            d = low.bit_length() - 1
+            if not above & strict_down[d]:
+                out.append((a, d))
+            rest ^= low
+    return out
+
+
 def _least(cands: int, up) -> int | None:
     """The first candidate, in ascending order, whose up-set up[c] holds every candidate, or None.
 

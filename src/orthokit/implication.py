@@ -79,6 +79,16 @@ def check_ioa_identities(T: ImplicationTable) -> CheckReport:
     lab = T.label
     rng = range(n)
 
+    def c_fails():
+        # row j = (x*y)*y is read once per (x, y); p runs along rows j and x
+        for x in rng:
+            row_x = B[x]
+            for y in rng:
+                row_j = B[B[row_x[y]][y]]
+                for p in rng:
+                    if B[row_j[p]][row_x[p]] != one:
+                        yield f"x={lab(x)} y={lab(y)} p={lab(p)}"
+
     def d_fails():
         for x in rng:
             for p in rng:
@@ -104,11 +114,7 @@ def check_ioa_identities(T: ImplicationTable) -> CheckReport:
             f"x={lab(x)} y={lab(y)}: {lab(B[B[x][y]][y])} != {lab(B[B[y][x]][x])}"
             for x in rng for y in rng if B[B[x][y]][y] != B[B[y][x]][x]
         )),
-        first_failure("ident-c", (
-            f"x={lab(x)} y={lab(y)} p={lab(p)}"
-            for x in rng for y in rng for p in rng
-            if B[B[B[B[x][y]][y]][p]][B[x][p]] != one
-        )),
+        first_failure("ident-c", c_fails()),
         first_failure("ident-d", d_fails()),
         first_failure("ident-d'", d_prime_fails()),
     )

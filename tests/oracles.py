@@ -26,6 +26,15 @@ def closure_from_covers(n, covers):
     return leq
 
 
+def naive_cover_pairs(leq):
+    """(a, d) with a strictly below d and no c strictly between them, by a plain triple loop."""
+    n = len(leq)
+    return [
+        (a, d) for a in range(n) for d in range(n)
+        if a != d and leq[a][d] and not any(c != a and c != d and leq[a][c] and leq[c][d] for c in range(n))
+    ]
+
+
 def naive_least(le, candidates):
     """The first candidate below every candidate under le, or None, by a plain double loop."""
     cands = list(candidates)
@@ -124,3 +133,65 @@ def subsets_containing(n, element):
     rest = [x for x in range(n) if x != element]
     for bits in product((False, True), repeat=len(rest)):
         yield frozenset(x for x, keep in zip(rest, bits) if keep) | {element}
+
+
+def naive_congruence_closure(T, pairs):
+    """Least congruence relating the given pairs, as a least-representative tuple.
+
+    Classes are merged by relabeling, and the table is rescanned until a pass
+    merges nothing: every x must then agree with its class's first element
+    under x*c and c*x for every c, which by transitivity is compatibility.
+    """
+    n, B = T.n, T.bullet
+    label = list(range(n))
+
+    def merge(x, y):
+        lx, ly = label[x], label[y]
+        if lx == ly:
+            return False
+        for z in range(n):
+            if label[z] == ly:
+                label[z] = lx
+        return True
+
+    for a, b in pairs:
+        merge(a, b)
+    changed = True
+    while changed:
+        changed = False
+        first = {}
+        for x in range(n):
+            f = first.setdefault(label[x], x)
+            for c in range(n):
+                changed |= merge(B[x][c], B[f][c])
+                changed |= merge(B[c][x], B[c][f])
+    first = {}
+    return tuple(first.setdefault(label[x], x) for x in range(n))
+
+
+def naive_congruence_lattice(T):
+    """Every congruence, as least-representative tuples sorted by (block count, tuple).
+
+    The principal congruences of all n(n-1)/2 pairs, closed under join with
+    a principal one; a join is the closure of both partitions' pairs.
+    """
+    n = T.n
+
+    def pairs(rep):
+        return [(x, r) for x, r in enumerate(rep) if x != r]
+
+    principals = {naive_congruence_closure(T, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
+    known = {tuple(range(n))} | principals
+    frontier = list(principals)
+    while frontier:
+        fresh = []
+        for P in frontier:
+            for Q in principals:
+                if all(P[x] == P[r] for x, r in pairs(Q)):
+                    continue
+                j = naive_congruence_closure(T, pairs(P) + pairs(Q))
+                if j not in known:
+                    known.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return sorted(known, key=lambda rep: (len(set(rep)), rep))
