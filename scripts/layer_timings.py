@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Time the order and congruence layers on Boolean 2^k and on every principal filter of one families pass.
+"""Time the order, congruence and term layers on Boolean 2^k and on every principal filter of one families pass.
 
 Boolean 2^k comes from `perfbench/families.py`.  Every time is the best of
 `reps` in-process calls, in seconds; `reconstruct` includes the identities,
-`induced_join` and the validator.
+`induced_join` and the validator, and `ideal_terms` is `is_ideal_term` on
+t1..t6.
 
 Usage: PYTHONPATH=src python3 scripts/layer_timings.py <k> [reps]
        PYTHONPATH=src python3 scripts/layer_timings.py --families <seed> [reps]
@@ -20,6 +21,9 @@ import workloads  # noqa: E402
 from orthokit import catalog_io, core  # noqa: E402
 from orthokit import congruence as cong  # noqa: E402
 from orthokit import implication as imp  # noqa: E402
+from orthokit import terms  # noqa: E402
+
+T1_T6 = list(terms.builtin_terms().values())
 
 
 def best(f, reps):
@@ -49,6 +53,7 @@ def boolean(k, reps):
         "identities_s": best(lambda: imp.check_ioa_identities(T), reps),
         "induced_join_s": best(lambda: imp.induced_join(T), reps),
         "congruence_lattice_s": best(lambda: cong.congruence_lattice(T), reps),
+        "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for t in T1_T6], reps),
     }
 
 
@@ -68,6 +73,7 @@ def families_pass(seed, reps):
         "reconstruct_s": best(lambda: [imp.reconstruct_orthosemilattice(T) for T in tables], reps),
         "overlap_s": best(lambda: [core.check_overlap_consistency(F) for F in filters], reps),
         "congruence_lattice_s": best(lambda: [cong.congruence_lattice(T) for T in tables], reps),
+        "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for T in tables for t in T1_T6], reps),
     }
 
 

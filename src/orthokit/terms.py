@@ -14,12 +14,21 @@ failing assignment as its witness.  For many subsets, `closed_subsets` builds
 one table with y over their union and reads each y-assignment's values as
 the Horn clause "ys inside D implies these values inside D"; it answers
 every subset from those clauses, without witnesses.
+
+A table is built by whole-table byte operations.  On carriers of at most 16
+elements two values l, r fit one byte as the pair code l << 4 | r, so a
+product node codes all its entries at once with integer arithmetic on the
+two tables and decodes them with one `bytes.translate` through a 256-byte
+pair table.  On 17 to 256 elements a pair no longer fits a byte: a product
+goes through one operation-table row per span on which one side is
+constant, or entry by entry where both sides depend on the last variable.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product, repeat
 
 from .congruence import KernelSet, _d2_failure, check_d1, congruence_closure, kernel
@@ -132,23 +141,57 @@ def _check_scan_budget(T: ImplicationTable, term: Term, ysize: int) -> None:
 # canonically: x_i is i and y_j is xarity + j, so x-variables come first, as
 # in the scans the tables replace.  No table exceeds the budgeted scan size.
 def _tabulate(T: ImplicationTable, term: Term, ydomain) -> tuple[tuple[int, ...], bytes]:
-    """Variables and value table of the root, built bottom-up once per node."""
+    """Variables and value table of the root, built bottom-up once per node.
+
+    The carrier size alone selects how products are built.  Up to 16 elements
+    every value fits four bits, so the 256-byte `pair` table, built once per
+    call, maps the pair code l << 4 | r to l*r, and each product node is a few
+    whole-table byte operations (`_paired`).  From 17 elements a pair no
+    longer fits the byte a `translate` maps; products go span by span through
+    operation-table rows, or entry by entry (`_bullet`).
+    """
     n = T.n
     size = [n] * term.xarity + [len(ydomain)] * term.yarity
-    pad = bytes(256 - n)
-    rows = [bytes(row) + pad for row in T.bullet]
-    cols = [bytes(col) + pad for col in zip(*T.bullet)]
+    if n <= 16:
+        pair = bytearray(256)
+        for l, row in enumerate(T.bullet):
+            pair[l << 4:(l << 4) + n] = bytes(row)
+        bullet = partial(_paired, size=size, pair=pair)
+    else:
+        pad = bytes(256 - n)
+        rows = [bytes(row) + pad for row in T.bullet]
+        cols = [bytes(col) + pad for col in zip(*T.bullet)]
+        bullet = partial(_bullet, size=size, rows=rows, cols=cols)
     carrier, yvals = bytes(range(n)), bytes(ydomain)
     return _fold(term.root, ((), bytes((T.one,))), lambda i: ((i,), carrier),
-                 lambda j: ((term.xarity + j,), yvals), lambda l, r: _bullet(l, r, size, rows, cols))
+                 lambda j: ((term.xarity + j,), yvals), bullet)
+
+
+def _paired(left, right, size, pair) -> tuple[tuple[int, ...], bytes]:
+    """Table of l*r over the union of both sides' variables, every value below 16.
+
+    The pair code l << 4 | r of two values fits one byte, and `pair` maps it
+    to l*r.  With both sides broadcast to the union, the left table read as
+    one integer and shifted by four bits, or-ed with the right one, holds
+    every entry's pair code, and one `translate` decodes them all.
+    """
+    (lvars, lvals), (rvars, rvals) = left, right
+    vs = tuple(sorted(set(lvars) | set(rvars)))
+    lvals = _broadcast(lvals, lvars, vs, size)
+    rvals = _broadcast(rvals, rvars, vs, size)
+    codes = int.from_bytes(lvals, "big") << 4 | int.from_bytes(rvals, "big")
+    return vs, codes.to_bytes(len(rvals), "big").translate(pair)
 
 
 def _bullet(left, right, size, rows, cols) -> tuple[tuple[int, ...], bytes]:
-    """Table of l*r over the union of both sides' variables.
+    """Table of l*r over the union of both sides' variables, values up to 255.
 
     Where one side does not depend on the trailing variables, it is constant
     on spans of the other side's table, and each span goes through one row (or
-    column) of the operation table with `bytes.translate`.
+    column) of the operation table with `bytes.translate`.  Where both sides
+    depend on the last variable, no span is longer than one entry, and the
+    entries are looked up one by one: with values past 15 a pair of values no
+    longer fits the one byte a `translate` maps.
     """
     (lvars, lvals), (rvars, rvals) = left, right
     vs = tuple(sorted(set(lvars) | set(rvars)))
@@ -180,22 +223,47 @@ def _constant_span(vs, own, size) -> int:
 
 
 def _broadcast(values: bytes, have: tuple[int, ...], want: tuple[int, ...], size: list[int]) -> bytes:
-    """Re-index a table over `have` by the superset `want`, inserting one variable at a time.
+    """Re-index a table over `have` by the superset `want`.
 
-    Inserting a variable of d values repeats each block of the variables after
-    it d times.
+    Each run of consecutive variables missing from `have` is inserted as one
+    variable whose d values are the run's assignments: every block of the
+    entries of the `have` variables after the run is repeated d times, by
+    `_repeat`'s slice assignments rather than entry by entry.
     """
-    cur = list(have)
-    for pos, v in enumerate(want):
-        if pos < len(cur) and cur[pos] == v:
+    if len(have) == len(want):
+        return values
+    inner, d = len(values), 1
+    for v in want:
+        if v not in have:
+            d *= size[v]
             continue
-        d = size[v]
-        inner = 1
-        for u in cur[pos:]:
-            inner *= size[u]
-        values = b"".join(values[o:o + inner] * d for o in range(0, len(values), inner))
-        cur.insert(pos, v)
-    return values
+        if d > 1:
+            values, d = _repeat(values, inner, d), 1
+        inner //= size[v]
+    return _repeat(values, 1, d) if d > 1 else values
+
+
+def _repeat(values: bytes, inner: int, d: int) -> bytes:
+    """The table with each block of `inner` entries repeated d times in its place.
+
+    The copy is made by slice assignment into a bytearray in min(outer,
+    d * inner) steps, for `outer` blocks: per block, its d copies at once; or
+    per position in a group of d * inner entries, one strided slice that sets
+    that position in every group.
+    """
+    outer, group = len(values) // inner, d * inner
+    if outer == 1:
+        return values * d
+    out = bytearray(outer * group)
+    if outer <= group:
+        for o in range(outer):
+            out[o * group:(o + 1) * group] = values[o * inner:(o + 1) * inner] * d
+    else:
+        for i in range(inner):
+            column = values[i::inner]
+            for k in range(i, group, inner):
+                out[k::group] = column
+    return bytes(out)
 
 
 def _first_outside(T: ImplicationTable, term: Term, ydomain, members: frozenset[int]):
