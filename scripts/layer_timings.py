@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
-"""Time the order, congruence and term layers on Boolean 2^k and on every principal filter of one families pass.
+"""Time the order, congruence and term layers on Boolean 2^k, on every principal filter of one families pass,
+and the term layer of `verify-theorems` on every catalog reduct.
 
 Boolean 2^k comes from `perfbench/families.py`.  Every time is the best of
 `reps` in-process calls, in seconds; `reconstruct` includes the identities,
 `induced_join` and the validator, and `ideal_terms` is `is_ideal_term` on
 t1..t6.
 
+`--catalog` prints one line per catalog reduct with the term work of
+`verify-theorems --all --seed 0` on it: `closed_subsets` of the kernels on
+t1..t6, `random_ideal_terms` (its seed's candidate stream already drawn, as
+on every reduct after the first), `closed_subsets` of the kernels above {1}
+on those random terms, and the subset sweep where the reduct is small enough
+for one.
+
 Usage: PYTHONPATH=src python3 scripts/layer_timings.py <k> [reps]
        PYTHONPATH=src python3 scripts/layer_timings.py --families <seed> [reps]
+       PYTHONPATH=src python3 scripts/layer_timings.py --catalog [reps]
 """
 
 import sys
@@ -18,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import families  # noqa: E402
 import workloads  # noqa: E402
-from orthokit import catalog_io, core  # noqa: E402
+from orthokit import catalog, catalog_io, core, verify  # noqa: E402
 from orthokit import congruence as cong  # noqa: E402
 from orthokit import implication as imp  # noqa: E402
 from orthokit import terms  # noqa: E402
@@ -77,9 +86,32 @@ def families_pass(seed, reps):
     }
 
 
+def catalog_reducts(reps):
+    for e in catalog():
+        if e.kind != "implication":
+            continue
+        T = e.payload
+        kernels = {cong.kernel(T, P).members for P in cong.congruence_lattice(T)}
+        ordered = sorted(kernels, key=lambda k: (len(k), sorted(k)))
+        above = [K for K in ordered if K != {T.one}]
+        rand = terms.random_ideal_terms(T, verify.RANDOM_TERM_COUNT, seed=0)
+        row = {
+            "n": T.n,
+            "kernels": len(ordered),
+            "t1_t6_closure_s": best(lambda: [terms.closed_subsets(T, ordered, t) for t in T1_T6], reps),
+            "random_ideal_terms_s": best(lambda: terms.random_ideal_terms(T, verify.RANDOM_TERM_COUNT, seed=0), reps),
+            "random_closure_s": best(lambda: [terms.closed_subsets(T, above, t) for t in rand], reps),
+        }
+        if T.n <= verify.SWEEP_LIMIT:
+            row["sweep_s"] = best(lambda: verify._subset_sweep_checks(e.name, T, kernels), reps)
+        print(e.name, row)
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
     if args and args[0] == "--families":
         print(families_pass(int(args[1]), int(args[2]) if len(args) > 2 else 5))
+    elif args and args[0] == "--catalog":
+        catalog_reducts(int(args[1]) if len(args) > 1 else 5)
     else:
         print(boolean(int(args[0]), int(args[1]) if len(args) > 1 else 3))

@@ -10,10 +10,11 @@ for the binary operation, e.g. `(b (b y0 (b y1 x0)) x0)`.
 
 Closure is decided from value tables built by `_tabulate`.  For one subset,
 `closed_under_term` tabulates with y over that subset and decodes the first
-failing assignment as its witness.  For many subsets, `closed_subsets` builds
-one table with y over their union and reads each y-assignment's values as
-the Horn clause "ys inside D implies these values inside D"; it answers
-every subset from those clauses, without witnesses.
+failing assignment as its witness.  For many subsets, `closed_subsets`
+builds one table with y over the union of the proper subsets (the carrier
+needs none) and reads each y-assignment's values as the Horn clause "ys
+inside D implies these values inside D"; it answers every subset from those
+clauses, without witnesses.
 
 A table is built by whole-table byte operations.  On carriers of at most 16
 elements two values l, r fit one byte as the pair code l << 4 | r, so a
@@ -27,9 +28,10 @@ constant, or entry by entry where both sides depend on the last variable.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 
 from .congruence import KernelSet, _d2_failure, check_d1, congruence_closure, kernel
 from .core import _mask
@@ -336,21 +338,25 @@ def closed_under_term(T: ImplicationTable, I, term: Term) -> Verdict:
 
 
 def closed_subsets(T: ImplicationTable, subsets, term: Term) -> tuple[bool, ...]:
-    """Closure of every subset under one term, decided from a single table.
+    """Closure of every subset under one term, decided from at most one table.
 
-    The table has y over the union U of the subsets.  Its values at one
-    assignment ys of the y-variables the term uses, over all x-assignments,
-    fold into one bitmask: the Horn clause "ys inside D implies the mask
-    inside D".  A subset is closed exactly when every clause whose ys lie in
-    it keeps its mask inside it.  Each verdict equals
-    `bool(closed_under_term(T, D, term))`; no witnesses are kept.
+    The carrier is closed under every term and needs no table: the table, and
+    its budget, span y over the union U of the proper subsets only.  Its
+    values at one assignment ys of the y-variables the term uses, over all
+    x-assignments, fold into one bitmask: the Horn clause "ys inside D implies
+    the mask inside D".  A subset is closed exactly when every clause whose ys
+    lie in it keeps its mask inside it.  Each verdict equals
+    `bool(closed_under_term(T, D, term))`, which may refuse the carrier as too
+    large a scan; no witnesses are kept.
     """
     sets = [frozenset(D) for D in subsets]
     if not all(sets):
         raise ValueError("closure checked against an empty subset")
-    if not sets:
-        return ()
-    union = sorted(frozenset().union(*sets))
+    carrier = frozenset(range(T.n))
+    proper = [D for D in sets if D != carrier]
+    if not proper:
+        return (True,) * len(sets)
+    union = sorted(frozenset().union(*proper))
     _check_scan_budget(T, term, len(union))
     vs, values = _tabulate(T, term, union)
     # y-variables come last in the table, so one y-assignment's values are a stride slice
@@ -459,20 +465,40 @@ def random_term(rng: random.Random, xarity: int = 2, yarity: int = 2, max_depth:
 
 
 def random_ideal_terms(T: ImplicationTable, count: int, seed: int = 0) -> list[Term]:
-    """Deterministically sample distinct random terms that are ideal terms of T."""
-    rng = random.Random(seed)
-    found: list[Term] = []
+    """Deterministically sample distinct random terms that are ideal terms of T,
+    trying in order the candidates of the seed, drawn once per seed by `_candidates`."""
+    found = list(islice(filter(partial(is_ideal_term, T), _candidates(seed)), count))
+    if len(found) < count:
+        raise RuntimeError(f"could not find {count} ideal terms in {RANDOM_TERM_TRIES} tries")
+    return found
+
+
+# The last seed's candidate stream: its distinct terms drawn so far, and the generator that draws more.
+_streams: dict[int, tuple[list[Term], Iterator[Term]]] = {}
+
+
+def _candidates(seed: int) -> Iterator[Term]:
+    """The distinct terms of `RANDOM_TERM_TRIES` draws from `random.Random(seed)`, in order.
+
+    Each is drawn once while the seed is the last one asked for; one stream is read at a time.
+    """
+    if seed not in _streams:
+        _streams.clear()
+        _streams[seed] = ([], _distinct_terms(random.Random(seed)))
+    drawn, more = _streams[seed]
+    yield from drawn
+    for t in more:
+        drawn.append(t)
+        yield t
+
+
+def _distinct_terms(rng: random.Random) -> Iterator[Term]:
     seen: set[Term] = set()
     for _ in range(RANDOM_TERM_TRIES):
-        if len(found) == count:
-            return found
         t = random_term(rng)
-        if t in seen:
-            continue
-        seen.add(t)
-        if is_ideal_term(T, t):
-            found.append(t)
-    raise RuntimeError(f"could not find {count} ideal terms in {RANDOM_TERM_TRIES} tries")
+        if t not in seen:
+            seen.add(t)
+            yield t
 
 
 def parse_term(text: str) -> Term:

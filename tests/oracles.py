@@ -195,3 +195,27 @@ def naive_congruence_lattice(T):
                     fresh.append(j)
         frontier = fresh
     return sorted(known, key=lambda rep: (len(set(rep)), rep))
+
+
+def naive_random_ideal_terms(T, count, seed):
+    """The first `count` distinct ideal terms of T that one `random.Random(seed)` draws, tried one by one.
+
+    Each candidate is decided by a plain scan with every y set to 1; the
+    stream is drawn afresh on every call.
+    """
+    import random
+
+    from orthokit.terms import RANDOM_TERM_TRIES, random_term
+
+    rng = random.Random(seed)
+    found, seen = [], set()
+    for _ in range(RANDOM_TERM_TRIES):
+        if len(found) == count:
+            return found
+        t = random_term(rng)
+        if t in seen:
+            continue
+        seen.add(t)
+        if naive_first_outside(T, {T.one}, t) is None:
+            found.append(t)
+    raise RuntimeError(f"could not find {count} ideal terms in {RANDOM_TERM_TRIES} tries")
