@@ -12,7 +12,9 @@ t1..t6.
 t1..t6, `random_ideal_terms` (its seed's candidate stream already drawn, as
 on every reduct after the first), `closed_subsets` of the kernels above {1}
 on those random terms, and the subset sweep where the reduct is small enough
-for one.
+for one.  Its `products` column counts the whole-table products of one run of
+that work (`terms._paired` and `terms._bullet` calls, counted by wrapping
+them here); unlike the times it does not move with the host's speed.
 
 Usage: PYTHONPATH=src python3 scripts/layer_timings.py <k> [reps]
        PYTHONPATH=src python3 scripts/layer_timings.py --families <seed> [reps]
@@ -86,7 +88,16 @@ def families_pass(seed, reps):
     }
 
 
+def counted(fn, calls):
+    def call(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+    return call
+
+
 def catalog_reducts(reps):
+    products = [0]
+    terms._paired, terms._bullet = counted(terms._paired, products), counted(terms._bullet, products)
     for e in catalog():
         if e.kind != "implication":
             continue
@@ -95,15 +106,18 @@ def catalog_reducts(reps):
         ordered = sorted(kernels, key=lambda k: (len(k), sorted(k)))
         above = [K for K in ordered if K != {T.one}]
         rand = terms.random_ideal_terms(T, verify.RANDOM_TERM_COUNT, seed=0)
-        row = {
-            "n": T.n,
-            "kernels": len(ordered),
-            "t1_t6_closure_s": best(lambda: [terms.closed_subsets(T, ordered, t) for t in T1_T6], reps),
-            "random_ideal_terms_s": best(lambda: terms.random_ideal_terms(T, verify.RANDOM_TERM_COUNT, seed=0), reps),
-            "random_closure_s": best(lambda: [terms.closed_subsets(T, above, t) for t in rand], reps),
+        work = {
+            "t1_t6_closure_s": lambda: [terms.closed_subsets(T, ordered, t) for t in T1_T6],
+            "random_ideal_terms_s": lambda: terms.random_ideal_terms(T, verify.RANDOM_TERM_COUNT, seed=0),
+            "random_closure_s": lambda: [terms.closed_subsets(T, above, t) for t in rand],
         }
         if T.n <= verify.SWEEP_LIMIT:
-            row["sweep_s"] = best(lambda: verify._subset_sweep_checks(e.name, T, kernels), reps)
+            work["sweep_s"] = lambda: verify._subset_sweep_checks(e.name, T, kernels)
+        products[0] = 0
+        for f in work.values():
+            f()
+        row = {"n": T.n, "kernels": len(ordered), "products": products[0]}
+        row.update((key, best(f, reps)) for key, f in work.items())
         print(e.name, row)
 
 

@@ -8,21 +8,28 @@ while y-variables range over the subset only.
 Text syntax is a prefix S-expression: `1`, `x<i>`, `y<j>`, and `(b t u)`
 for the binary operation, e.g. `(b (b y0 (b y1 x0)) x0)`.
 
-Closure is decided from value tables built by `_tabulate`.  For one subset,
-`closed_under_term` tabulates with y over that subset and decodes the first
-failing assignment as its witness.  For many subsets, `closed_subsets`
-builds one table with y over the union of the proper subsets (the carrier
-needs none) and reads each y-assignment's values as the Horn clause "ys
-inside D implies these values inside D"; it answers every subset from those
-clauses, without witnesses.
+Closure is decided from value tables built by `_tabulate`, each over the
+variables its subterm keeps once its constant parts are folded (none when
+its values are all equal).  For one subset, `closed_under_term` tabulates
+with y over that subset and decodes the first failing assignment as its
+witness, the other variables at their least values.  For many subsets,
+`closed_subsets` builds one table with y over the union of the proper
+subsets (the carrier needs none) and reads each assignment of the table's
+y-variables as the Horn clause "ys inside D implies these values inside D";
+it answers every subset from those clauses, without witnesses.
 
-A table is built by whole-table byte operations.  On carriers of at most 16
-elements two values l, r fit one byte as the pair code l << 4 | r, so a
-product node codes all its entries at once with integer arithmetic on the
-two tables and decodes them with one `bytes.translate` through a 256-byte
-pair table.  On 17 to 256 elements a pair no longer fits a byte: a product
-goes through one operation-table row per span on which one side is
-constant, or entry by entry where both sides depend on the last variable.
+Every table is built from the operation table alone, which is assumed to
+satisfy no identity, by whole-table byte operations.  A table whose entries
+are all equal is a constant.  A constant right side c absorbs its product,
+whose left side is never tabulated, when column c is constant (in a reduct
+x*1 = 1, so with y set to 1 every s*y is 1); otherwise a constant side is
+one `bytes.translate` of the other side through its row or column.  Two
+non-constant sides on at most 16 elements fit one byte as the pair code
+l << 4 | r, so their product is integer arithmetic on the two tables and one
+`translate` through a 256-byte pair table.  On 17 to 256 elements a pair no
+longer fits a byte: a product goes through one operation-table row per span
+on which one side is constant, or entry by entry where both sides depend on
+the last variable.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, product, repeat
+from operator import itemgetter
 
 from .congruence import KernelSet, _d2_failure, check_d1, congruence_closure, kernel
 from .core import _mask
@@ -76,42 +84,46 @@ class Term:
     yarity: int
 
     def __post_init__(self):
-        for node in _walk(self.root):
-            if isinstance(node, XVar) and not 0 <= node.index < self.xarity:
-                raise ArityMismatch(f"x{node.index} with declared x-arity {self.xarity}")
-            if isinstance(node, YVar) and not 0 <= node.index < self.yarity:
-                raise ArityMismatch(f"y{node.index} with declared y-arity {self.yarity}")
+        _fold(self.root, None, partial(_declared, "x", self.xarity), partial(_declared, "y", self.yarity),
+              lambda left, right: None)
 
 
-def _walk(node: TermNode):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if isinstance(cur, Bullet):
-            stack.append(cur.left)
-            stack.append(cur.right)
+def _declared(kind: str, arity: int, index: int) -> None:
+    if not 0 <= index < arity:
+        raise ArityMismatch(f"{kind}{index} with declared {kind}-arity {arity}")
 
 
-def _fold(root: TermNode, one, x, y, product):
+def _fold(root: TermNode, one, x, y, product, absorbs=None):
     """Value of the tree computed bottom-up: `one` at 1, x(i) at x_i, y(j) at y_j,
     and product(left, right) at each product node.
 
-    Reversed preorder lists each product right after its right subtree, which
-    follows its left subtree, so the two values it needs are the top of a stack.
+    Each product's right subtree is folded first, on an explicit stack.  When
+    `absorbs(right)` returns a value, that value is the product's and the
+    left subtree is never visited.
     """
-    stack = []
-    for node in reversed(list(_walk(root))):
-        if isinstance(node, Bullet):
-            right = stack.pop()
-            stack[-1] = product(stack[-1], right)
-        elif isinstance(node, Const1):
-            stack.append(one)
-        elif isinstance(node, XVar):
-            stack.append(x(node.index))
+    values, todo = [], [root]
+    while todo:
+        node = todo.pop()
+        if node is None:  # both sides of a product are folded, the left one on top
+            left = values.pop()
+            values[-1] = product(left, values[-1])
+        elif type(node) is tuple:  # a product's right side is folded, node[0] is its left subtree
+            got = None if absorbs is None else absorbs(values[-1])
+            if got is None:
+                todo += (None, node[0])
+            else:
+                values[-1] = got
         else:
-            stack.append(y(node.index))
-    return stack[0]
+            while isinstance(node, Bullet):  # down the right spine, keeping each left subtree
+                todo.append((node.left,))
+                node = node.right
+            if isinstance(node, Const1):
+                values.append(one)
+            elif isinstance(node, XVar):
+                values.append(x(node.index))
+            else:
+                values.append(y(node.index))
+    return values[0]
 
 
 def eval_term(T: ImplicationTable, term: Term, xs, ys) -> int:
@@ -138,39 +150,70 @@ def _check_scan_budget(T: ImplicationTable, term: Term, ysize: int) -> None:
             raise TooLarge(work, TERM_SCAN_LIMIT, "term scan size")
 
 
-# A table lists a subterm's values at every assignment of its own free
-# variables, one byte each, in `product` order.  Variables are indexed
+# A table lists a subterm's values at every assignment of the free variables
+# that folding left it, one byte each, in `product` order; a table whose
+# entries are all equal is a constant over no variables.  Variables are indexed
 # canonically: x_i is i and y_j is xarity + j, so x-variables come first, as
 # in the scans the tables replace.  No table exceeds the budgeted scan size.
 def _tabulate(T: ImplicationTable, term: Term, ydomain) -> tuple[tuple[int, ...], bytes]:
-    """Variables and value table of the root, built bottom-up once per node.
+    """Variables and value table of the root, folded bottom-up in one walk.
 
-    The carrier size alone selects how products are built.  Up to 16 elements
-    every value fits four bits, so the 256-byte `pair` table, built once per
-    call, maps the pair code l << 4 | r to l*r, and each product node is a few
-    whole-table byte operations (`_paired`).  From 17 elements a pair no
-    longer fits the byte a `translate` maps; products go span by span through
-    operation-table rows, or entry by entry (`_bullet`).
+    Constants fold as the module docstring says.  Rows and columns, padded
+    to the 256 bytes `translate` takes, and the pair table of `_paired` are
+    built on first use, once per call.  The carrier size alone selects
+    `_paired` (n <= 16) or `_bullet` for two non-constant sides.
     """
-    n = T.n
+    n, B = T.n, T.bullet
     size = [n] * term.xarity + [len(ydomain)] * term.yarity
-    if n <= 16:
-        pair = bytearray(256)
-        for l, row in enumerate(T.bullet):
-            pair[l << 4:(l << 4) + n] = bytes(row)
-        bullet = partial(_paired, size=size, pair=pair)
-    else:
-        pad = bytes(256 - n)
-        rows = [bytes(row) + pad for row in T.bullet]
-        cols = [bytes(col) + pad for col in zip(*T.bullet)]
-        bullet = partial(_bullet, size=size, rows=rows, cols=cols)
+    row = _Built(lambda l: bytes(B[l]).ljust(256, b"\0"))
+    col = _Built(lambda r: bytes(map(itemgetter(r), B)).ljust(256, b"\0"))
+    pair = b""
+
+    def absorbs(right):
+        vs, values = right
+        if not vs:
+            line = col[values[0]]
+            if line.count(line[0], 0, n) == n:
+                return (), line[:1]
+        return None
+
+    def bullet(left, right):
+        nonlocal pair
+        (lvars, lvals), (rvars, rvals) = left, right
+        if not lvars:
+            return _folded(rvars, rvals.translate(row[lvals[0]]))
+        if not rvars:
+            return _folded(lvars, lvals.translate(col[rvals[0]]))
+        if n > 16:
+            return _folded(*_bullet(left, right, size, B, row, col))
+        if not pair:
+            pair = bytes(16 - n).join(map(bytes, B)).ljust(256, b"\0")
+        return _folded(*_paired(left, right, size, pair))
+
     carrier, yvals = bytes(range(n)), bytes(ydomain)
-    return _fold(term.root, ((), bytes((T.one,))), lambda i: ((i,), carrier),
-                 lambda j: ((term.xarity + j,), yvals), bullet)
+    return _fold(term.root, ((), bytes((T.one,))), lambda i: ((i,) if n > 1 else (), carrier),
+                 lambda j: ((term.xarity + j,) if len(yvals) > 1 else (), yvals), bullet, absorbs)
+
+
+class _Built(dict):
+    """A dict that builds a missing value as build(key) and keeps it."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(key)
+        return value
+
+
+def _folded(vs, values: bytes) -> tuple[tuple[int, ...], bytes]:
+    """The table over `vs`, or a constant over no variables when its entries are all equal."""
+    constant = values[-1] == values[0] and values.count(values[0]) == len(values)
+    return ((), values[:1]) if constant else (vs, values)
 
 
 def _paired(left, right, size, pair) -> tuple[tuple[int, ...], bytes]:
-    """Table of l*r over the union of both sides' variables, every value below 16.
+    """Table of l*r over the union of two non-constant sides' variables, every value below 16.
 
     The pair code l << 4 | r of two values fits one byte, and `pair` maps it
     to l*r.  With both sides broadcast to the union, the left table read as
@@ -185,8 +228,8 @@ def _paired(left, right, size, pair) -> tuple[tuple[int, ...], bytes]:
     return vs, codes.to_bytes(len(rvals), "big").translate(pair)
 
 
-def _bullet(left, right, size, rows, cols) -> tuple[tuple[int, ...], bytes]:
-    """Table of l*r over the union of both sides' variables, values up to 255.
+def _bullet(left, right, size, B, row, col) -> tuple[tuple[int, ...], bytes]:
+    """Table of l*r over the union of two non-constant sides' variables, values up to 255.
 
     Where one side does not depend on the trailing variables, it is constant
     on spans of the other side's table, and each span goes through one row (or
@@ -202,12 +245,12 @@ def _bullet(left, right, size, rows, cols) -> tuple[tuple[int, ...], bytes]:
     if max(lspan, rspan) == 1:
         lvals = _broadcast(lvals, lvars, vs, size)
         rvals = _broadcast(rvals, rvars, vs, size)
-        return vs, bytes([rows[l][r] for l, r in zip(lvals, rvals)])
+        return vs, bytes([B[l][r] for l, r in zip(lvals, rvals)])
     if lspan >= rspan:
-        span, keys, keyvars, vals, valvars, through = lspan, lvals, lvars, rvals, rvars, rows
+        span, keys, keyvars, vals, valvars, through = lspan, lvals, lvars, rvals, rvars, row
     else:
-        span, keys, keyvars, vals, valvars, through = rspan, rvals, rvars, lvals, lvars, cols
-    lead = vs[:vs.index(keyvars[-1]) + 1] if keyvars else ()
+        span, keys, keyvars, vals, valvars, through = rspan, rvals, rvars, lvals, lvars, col
+    lead = vs[:vs.index(keyvars[-1]) + 1]
     keys = _broadcast(keys, keyvars, lead, size)
     vals = _broadcast(vals, valvars, vs, size)
     spans = map(slice, range(0, len(vals), span), range(span, len(vals) + span, span))
@@ -271,8 +314,9 @@ def _repeat(values: bytes, inner: int, d: int) -> bytes:
 def _first_outside(T: ImplicationTable, term: Term, ydomain, members: frozenset[int]):
     """First assignment in `product` order whose value leaves `members`, as (xs, ys, value), or None.
 
-    Declared variables the term does not use take their least value, which is
-    where a `product` scan meets the first failing entry.
+    Variables missing from the folded table take their least value: its
+    values, and so a failure, do not depend on them, so that is where a
+    `product` scan meets the first failing entry.
     """
     vs, values = _tabulate(T, term, ydomain)
     if members.issuperset(values):
