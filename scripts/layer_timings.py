@@ -5,14 +5,18 @@ and the term layer of `verify-theorems` on every catalog reduct.
 Boolean 2^k comes from `perfbench/families.py`.  Every time is the best of
 `reps` in-process calls, in seconds; `reconstruct` includes the identities,
 `induced_join` and the validator, and `ideal_terms` is `is_ideal_term` on
-t1..t6.
+t1..t6.  The `closures` column counts the principal congruences that one run
+of `congruence_lattice` closes (on every filter, in `--families`), by
+wrapping `congruence.principal_congruence` here; like `products` below it
+does not move with the host's speed.
 
 `--catalog` prints one line per catalog reduct with the term work of
-`verify-theorems --all --seed 0` on it: `closed_subsets` of the kernels on
-t1..t6, `random_ideal_terms` (its seed's candidate stream already drawn, as
-on every reduct after the first), `closed_subsets` of the kernels above {1}
-on those random terms, and the subset sweep where the reduct is small enough
-for one.  Its `products` column counts the whole-table products of one run of
+`verify-theorems --all --seed 0` on it: `closed_subsets` on t1..t6 of the
+kernels, or of every subset containing 1 where the reduct is small enough
+for the subset sweep, `random_ideal_terms` (its seed's candidate stream
+already drawn, as on every reduct after the first), `closed_subsets` of the
+kernels above {1} on those random terms, and the sweep, given the t1..t6
+verdicts as `verify-theorems` gives them.  Its `products` column counts the whole-table products of one run of
 that work (`terms._paired` and `terms._bullet` calls, counted by wrapping
 them here); unlike the times it does not move with the host's speed.
 
@@ -64,6 +68,7 @@ def boolean(k, reps):
         "identities_s": best(lambda: imp.check_ioa_identities(T), reps),
         "induced_join_s": best(lambda: imp.induced_join(T), reps),
         "congruence_lattice_s": best(lambda: cong.congruence_lattice(T), reps),
+        "closures": closures(lambda: cong.congruence_lattice(T)),
         "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for t in T1_T6], reps),
     }
 
@@ -84,6 +89,7 @@ def families_pass(seed, reps):
         "reconstruct_s": best(lambda: [imp.reconstruct_orthosemilattice(T) for T in tables], reps),
         "overlap_s": best(lambda: [core.check_overlap_consistency(F) for F in filters], reps),
         "congruence_lattice_s": best(lambda: [cong.congruence_lattice(T) for T in tables], reps),
+        "closures": closures(lambda: [cong.congruence_lattice(T) for T in tables]),
         "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for T in tables for t in T1_T6], reps),
     }
 
@@ -93,6 +99,17 @@ def counted(fn, calls):
         calls[0] += 1
         return fn(*args, **kwargs)
     return call
+
+
+def closures(f):
+    """Calls of `congruence.principal_congruence` in one run of f."""
+    calls, real = [0], cong.principal_congruence
+    cong.principal_congruence = counted(real, calls)
+    try:
+        f()
+    finally:
+        cong.principal_congruence = real
+    return calls[0]
 
 
 def catalog_reducts(reps):
@@ -106,13 +123,16 @@ def catalog_reducts(reps):
         ordered = sorted(kernels, key=lambda k: (len(k), sorted(k)))
         above = [K for K in ordered if K != {T.one}]
         rand = terms.random_ideal_terms(T, verify.RANDOM_TERM_COUNT, seed=0)
+        sweep = T.n <= verify.SWEEP_LIMIT
+        subsets = list(cong.subsets_with_one(T)) if sweep else ordered
+        closed = {name: terms.closed_subsets(T, subsets, t) for name, t in terms.builtin_terms().items()}
         work = {
-            "t1_t6_closure_s": lambda: [terms.closed_subsets(T, ordered, t) for t in T1_T6],
+            "t1_t6_closure_s": lambda: [terms.closed_subsets(T, subsets, t) for t in T1_T6],
             "random_ideal_terms_s": lambda: terms.random_ideal_terms(T, verify.RANDOM_TERM_COUNT, seed=0),
             "random_closure_s": lambda: [terms.closed_subsets(T, above, t) for t in rand],
         }
-        if T.n <= verify.SWEEP_LIMIT:
-            work["sweep_s"] = lambda: verify._subset_sweep_checks(e.name, T, kernels)
+        if sweep:
+            work["sweep_s"] = lambda: verify._subset_sweep_checks(e.name, T, kernels, closed)
         products[0] = 0
         for f in work.values():
             f()

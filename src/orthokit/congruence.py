@@ -11,8 +11,10 @@ order, whenever `induced_join` accepts the table.  Then x v y = (x*y)*y is a
 term operation and the least upper bound, so every congruence class is
 convex (a <= c <= b and a ~ b give c = c v a ~ c v b = b), Θ(a, b) is the
 join of the cover congruences along maximal chains from a and from b up to
-a v b, and the covering pairs generate every congruence.  A table whose
-induced relation is not an order with that join takes all n(n-1)/2 pairs.
+a v b, and the covering pairs generate every congruence.  The join also
+gives x*x = 1 and 1*y = y, so Θ(a, d) = Θ(1, d*a) and one closure serves all
+covers with the same d*a.  A table whose induced relation is not an order
+with that join takes all n(n-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -258,14 +260,20 @@ def congruence_lattice(T: ImplicationTable) -> list[Partition]:
     class is convex: a <= c <= b and a ~ b give c = c v a ~ c v b = b.  Then
     Θ(a, b) is the join of the cover congruences along maximal chains from a
     and from b up to a v b, and the covering pairs generate every congruence.
-    Any other table takes every pair as a generator.  Joining each known
-    congruence P with every generator Θ(a, b) not already below it (a and b
-    in different blocks of P) reaches all joins of generators.
+    Each cover a < d takes the generator (1, d*a): as x <= x and y v y = y,
+    x*x = 1 and 1*y = (y*y)*y = y, so d*a ~ d*d = 1 when a ~ d, and
+    a = 1*a ~ (d*a)*a = d v a = d when d*a ~ 1.  Covers with the same d*a
+    share one principal closure.  Any other table takes every pair as a
+    generator.  Joining each known congruence P with every generator
+    Θ(a, b) not already below it (a and b in different blocks of P) reaches
+    all joins of generators.
     """
     n = T.n
     try:
         induced_join(T)
-        generators = _cover_pairs([[v == T.one for v in row] for row in T.bullet])
+        # Θ(a, d) = Θ(1, d*a) for a cover a < d, so one closure per distinct d*a
+        covers = _cover_pairs([[v == T.one for v in row] for row in T.bullet])
+        generators = dict.fromkeys((T.one, T.bullet[d][a]) for a, d in covers)
     except (NotAnOrder, NotAJoin):
         generators = combinations(range(n), 2)
     principals: dict[Partition, tuple[int, int]] = {}
@@ -316,11 +324,8 @@ def subsets_with_one(T: ImplicationTable):
             yield frozenset(picked) | {T.one}
 
 
-def check_d1(T: ImplicationTable, D) -> Verdict:
-    """x in D and y*z in D imply (x*y)*z in D; witness is (x, y, z)."""
-    members = frozenset(D)
-    if T.one not in members:
-        raise MissingOne()
+def _d1_failure(T: ImplicationTable, members) -> tuple | None:
+    """First (x, y, z) with x in D and y*z in D but (x*y)*z not in D."""
     n, B = T.n, T.bullet
     for x in range(n):
         if x not in members:
@@ -329,8 +334,17 @@ def check_d1(T: ImplicationTable, D) -> Verdict:
             xy = B[x][y]
             for z in range(n):
                 if B[y][z] in members and B[xy][z] not in members:
-                    return Verdict(False, (x, y, z))
-    return Verdict(True)
+                    return (x, y, z)
+    return None
+
+
+def check_d1(T: ImplicationTable, D) -> Verdict:
+    """x in D and y*z in D imply (x*y)*z in D; witness is (x, y, z)."""
+    members = frozenset(D)
+    if T.one not in members:
+        raise MissingOne()
+    w = _d1_failure(T, members)
+    return Verdict(w is None, w)
 
 
 def _d2_failure(T: ImplicationTable, members, right: bool = True, left: bool = True) -> tuple | None:
@@ -366,12 +380,12 @@ def theta_from_kernel(T: ImplicationTable, D) -> Partition:
     members = frozenset(D)
     if T.one not in members:
         raise MissingOne()
-    v = check_d1(T, members)
-    if not v:
-        raise NotD1(v.witness)
-    v = check_d2(T, members)
-    if not v:
-        raise NotD2(v.witness)
+    w = _d1_failure(T, members)
+    if w is not None:
+        raise NotD1(w)
+    w = _d2_failure(T, members)
+    if w is not None:
+        raise NotD2(w)
     n, B = T.n, T.bullet
     rel = [[B[x][y] in members and B[y][x] in members for y in range(n)] for x in range(n)]
     # rel is an equivalence iff it relates exactly the pairs with equal least relative

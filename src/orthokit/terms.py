@@ -16,7 +16,8 @@ witness, the other variables at their least values.  For many subsets,
 `closed_subsets` builds one table with y over the union of the proper
 subsets (the carrier needs none) and reads each assignment of the table's
 y-variables as the Horn clause "ys inside D implies these values inside D";
-it answers every subset from those clauses, without witnesses.
+it decides those clauses for every subset at once, on bitsets over the
+subsets' positions, without witnesses.
 
 Every table is built from the operation table alone, which is assumed to
 satisfy no identity, by whole-table byte operations.  A table whose entries
@@ -37,12 +38,11 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice, product, repeat
+from functools import cache, partial
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
-from .congruence import KernelSet, _d2_failure, check_d1, congruence_closure, kernel
-from .core import _mask
+from .congruence import KernelSet, _d2_failure, check_d1, check_d2, congruence_closure, kernel
 from .errors import ArityMismatch, ParseError, TooLarge
 from .implication import ImplicationTable
 from .report import Check, CheckReport, Verdict
@@ -387,9 +387,12 @@ def closed_subsets(T: ImplicationTable, subsets, term: Term) -> tuple[bool, ...]
     The carrier is closed under every term and needs no table: the table, and
     its budget, span y over the union U of the proper subsets only.  Its
     values at one assignment ys of the y-variables the term uses, over all
-    x-assignments, fold into one bitmask: the Horn clause "ys inside D implies
-    the mask inside D".  A subset is closed exactly when every clause whose ys
-    lie in it keeps its mask inside it.  Each verdict equals
+    x-assignments, are the Horn clause "ys inside D implies those values inside
+    D".  A subset is closed exactly when every clause whose ys lie in it keeps
+    its values inside it.  The clauses are decided for all subsets at once on
+    bitsets over subset positions: holds[e] has bit i set when the i-th subset
+    contains e, so a clause breaks exactly the subsets in the AND of holds[y]
+    over its ys and the OR of ~holds[v] over its values.  Each verdict equals
     `bool(closed_under_term(T, D, term))`, which may refuse the carrier as too
     large a scan; no witnesses are kept.
     """
@@ -403,19 +406,25 @@ def closed_subsets(T: ImplicationTable, subsets, term: Term) -> tuple[bool, ...]
     union = sorted(frozenset().union(*proper))
     _check_scan_budget(T, term, len(union))
     vs, values = _tabulate(T, term, union)
-    # y-variables come last in the table, so one y-assignment's values are a stride slice
+    # bit i of holds[e] is 1 when the i-th subset contains e, read as binary digits, the last subset first
+    holds = [int(bytes([49 if e in D else 48 for D in reversed(sets)]), 2) for e in range(T.n)]
+    every = (1 << len(sets)) - 1
+    misses = [every ^ h for h in holds]
+    # y-variables come last in the table, so one y-assignment's values are a stride slice;
+    # needs[j] holds the subsets containing the j-th y-assignment, in `product` order
     yvars = sum(v >= term.xarity for v in vs)
-    stride = len(union) ** yvars
-    clauses: dict[int, int] = {}
-    for j, ys in enumerate(product(union, repeat=yvars)):
-        need = _mask(ys)
-        clauses[need] = clauses.get(need, 0) | _mask(set(values[j::stride])) & ~need
-    clauses = {need: gives for need, gives in clauses.items() if gives}
-    verdicts = []
-    for D in sets:
-        outside = ~_mask(D)
-        verdicts.append(not any(gives & outside for need, gives in clauses.items() if not need & outside))
-    return tuple(verdicts)
+    needs = [every]
+    for _ in range(yvars):
+        needs = [need & holds[y] for need in needs for y in union]
+    broken = 0
+    for j, need in enumerate(needs):
+        if not need:
+            continue
+        escape = 0
+        for v in set(values[j::len(needs)]):
+            escape |= misses[v]
+        broken |= need & escape
+    return tuple(bit == "0" for bit in reversed(format(broken, f"0{len(sets)}b")))
 
 
 def is_ideal_by_terms(T: ImplicationTable, I) -> Verdict:
@@ -446,7 +455,8 @@ def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:
     (z*x)*(z*y) half of D2; {t2, t5, t6} forces the (x*z)*(y*z) half.  Each
     check passes when its hypothesis fails or its conclusion holds.  A
     hypothesis is decided term by term, t6 first, and stops at the first
-    term the subset is not closed under; each term is checked at most once.
+    term the subset is not closed under; each term and rule is checked at
+    most once.
     """
     members = frozenset(I)
     verdicts: dict[str, bool] = {}
@@ -456,14 +466,17 @@ def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:
             verdicts[name] = closed_under_term(T, members, _BUILTIN_TERMS[name]).ok
         return verdicts[name]
 
-    return _lemma_chain(T, members, closed)
+    return _lemma_chain(T, members, closed, lambda: check_d1(T, members).ok,
+                        cache(lambda: check_d2(T, members).ok))
 
 
-def _lemma_chain(T: ImplicationTable, members: frozenset[int], closed) -> CheckReport:
+def _lemma_chain(T: ImplicationTable, members: frozenset[int], closed, d1, d2) -> CheckReport:
+    """The three rows of `check_lemma_chain`, given closed(term name), and d1() and d2() deciding
+    the D1 rule and the whole D2 rule; a D2 half is scanned on its own only where d2() is False."""
     rows = [
-        ("t1-t2-t6-give-d1", ("t6", "t1", "t2"), lambda: check_d1(T, members).ok),
-        ("t3-t4-t6-give-d2-left", ("t6", "t3", "t4"), lambda: _d2_failure(T, members, right=False) is None),
-        ("t2-t5-t6-give-d2-right", ("t6", "t2", "t5"), lambda: _d2_failure(T, members, left=False) is None),
+        ("t1-t2-t6-give-d1", ("t6", "t1", "t2"), d1),
+        ("t3-t4-t6-give-d2-left", ("t6", "t3", "t4"), lambda: d2() or _d2_failure(T, members, right=False) is None),
+        ("t2-t5-t6-give-d2-right", ("t6", "t2", "t5"), lambda: d2() or _d2_failure(T, members, left=False) is None),
     ]
     checks = []
     for name, hyp, concl in rows:

@@ -7,6 +7,8 @@ healthy catalog yields an all-pass report.
 
 from __future__ import annotations
 
+from functools import cache, partial
+
 from . import catalog_io as cat
 from . import congruence as cong
 from . import terms as tms
@@ -142,51 +144,70 @@ def _reduct_checks(name: str, T, seed: int) -> list[Check]:
     ))
 
     ordered = sorted(kernels, key=lambda k: (len(k), sorted(k)))
-    closed = [tms.closed_subsets(T, ordered, term) for term in builtins.values()]
+    # where the subset sweep runs, its t1..t6 verdicts over every subset also answer the kernels
+    sweep = T.n <= SWEEP_LIMIT
+    subsets = list(cong.subsets_with_one(T)) if sweep else ordered
+    closed = {t: tms.closed_subsets(T, subsets, term) for t, term in builtins.items()}
+    at = {D: i for i, D in enumerate(subsets)}
     checks.append(first_failure(
         f"{name}: every kernel closed under t1..t6",
         (f"kernel {sorted(K)} not closed under {tms.is_ideal_by_terms(T, K).witness[0]}"
-         for K, *oks in zip(ordered, *closed) if not all(oks)),
+         for K in ordered if not all(oks[at[K]] for oks in closed.values())),
     ))
 
     rand = tms.random_ideal_terms(T, RANDOM_TERM_COUNT, seed=seed)
     # {1} is closed under a term exactly when it is an ideal term, which random_ideal_terms decided
     above = [K for K in ordered if K != {T.one}]
-    closed = [tms.closed_subsets(T, above, t) for t in rand]
+    random_closed = [tms.closed_subsets(T, above, t) for t in rand]
     checks.append(first_failure(
         f"{name}: every kernel closed under {RANDOM_TERM_COUNT} random ideal terms",
         (f"kernel {sorted(K)} not closed under {tms.serialize_term(t)}:"
          f" witness {tms.closed_under_term(T, K, t).witness}"
-         for i, K in enumerate(above) for t, oks in zip(rand, closed) if not oks[i]),
+         for i, K in enumerate(above) for t, oks in zip(rand, random_closed) if not oks[i]),
     ))
 
-    if T.n <= SWEEP_LIMIT:
-        checks.extend(_subset_sweep_checks(name, T, kernels))
+    if sweep:
+        checks.extend(_subset_sweep_checks(name, T, kernels, closed))
     return checks
 
 
-def _subset_sweep_checks(name: str, T, kernels: set[frozenset[int]]) -> list[Check]:
-    """Scan every subset containing 1 and compare all three ideal criteria."""
+def _subset_sweep_checks(name: str, T, kernels: set[frozenset[int]], closed=None) -> list[Check]:
+    """Scan every subset containing 1 and compare all three ideal criteria.
+
+    `closed` maps each of t1..t6 to its `closed_subsets` verdicts over
+    `subsets_with_one(T)`, in that order; they are computed here when not given.
+    """
     subsets = list(cong.subsets_with_one(T))
-    closed = {t: tms.closed_subsets(T, subsets, term) for t, term in tms.builtin_terms().items()}
+    if closed is None:
+        closed = {t: tms.closed_subsets(T, subsets, term) for t, term in tms.builtin_terms().items()}
+    d1 = [cong.check_d1(T, D).ok for D in subsets]
+
+    @cache
+    def d2(i: int) -> bool:
+        # decided on first use: where D1 holds, and where the lemma chain needs it
+        return cong.check_d2(T, subsets[i]).ok
 
     def rebuilt(D) -> bool:
-        # theta_from_kernel raises unless its result is a congruence with kernel D
+        # theta_from_kernel raises unless its result is a congruence with kernel D; it raises
+        # NotD1 or NotD2 on a subset breaking either rule, so it is called only where both hold
         try:
             cong.theta_from_kernel(T, D)
             return True
         except AlgebraError:
             return False
 
+    rules = [ok and d2(i) for i, ok in enumerate(d1)]
+    theta = [ok and rebuilt(D) for D, ok in zip(subsets, rules)]
     return [
         first_failure(f"{name}: D1+D2 = kernel = rebuilt congruence, all subsets", (
-            f"first mismatch at D={sorted(D)}" for D in subsets
-            if not ((cong.check_d1(T, D).ok and cong.check_d2(T, D).ok) == (D in kernels) == rebuilt(D)))),
+            f"first mismatch at D={sorted(D)}" for i, D in enumerate(subsets)
+            if not rules[i] == (D in kernels) == theta[i])),
         first_failure(f"{name}: closed under t1..t6 = kernel, all subsets", (
             f"first mismatch at D={sorted(D)}" for i, D in enumerate(subsets)
             if all(oks[i] for oks in closed.values()) != (D in kernels))),
-        Check(f"{name}: closure implications for D1/D2 never violated",
-              all(tms._lemma_chain(T, D, lambda t: closed[t][i]).ok for i, D in enumerate(subsets))),
+        Check(f"{name}: closure implications for D1/D2 never violated", all(
+            tms._lemma_chain(T, D, lambda t: closed[t][i], partial(bool, d1[i]), partial(d2, i)).ok
+            for i, D in enumerate(subsets))),
     ]
 
 
