@@ -5,10 +5,17 @@ and the term layer of `verify-theorems` on every catalog reduct.
 Boolean 2^k comes from `perfbench/families.py`.  Every time is the best of
 `reps` in-process calls, in seconds; `reconstruct` includes the identities,
 `induced_join` and the validator, and `ideal_terms` is `is_ideal_term` on
-t1..t6.  The `closures` column counts the principal congruences that one run
-of `congruence_lattice` closes (on every filter, in `--families`), by
-wrapping `congruence.principal_congruence` here; like `products` below it
-does not move with the host's speed.
+t1..t6.  An `ImplicationTable` keeps its identity report, induced join and
+brute-force congruences once decided, so each rep runs on fresh copies of the
+tables (`dataclasses.replace`, made before the clock starts) and times the
+decisions, not lookups of kept facts.  The `closures` column counts the
+principal congruences that one run of `congruence_lattice` closes (on every
+filter, in `--families`), by wrapping `congruence.principal_congruence` here;
+like `products` below it does not move with the host's speed.  The
+`decided` column of `--families` runs `workloads._pipeline` once on every
+model of the pass and counts the identity reports, induced joins and
+brute-force searches it actually decides, by wrapping the functions behind
+the kept facts here.
 
 `--catalog` prints one line per catalog reduct with the term work of
 `verify-theorems --all --seed 0` on it: `closed_subsets` on t1..t6 of the
@@ -27,6 +34,7 @@ Usage: PYTHONPATH=src python3 scripts/layer_timings.py <k> [reps]
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -41,11 +49,13 @@ from orthokit import terms  # noqa: E402
 T1_T6 = list(terms.builtin_terms().values())
 
 
-def best(f, reps):
+def best(f, reps, tables=()):
+    """Least time of `reps` calls of f on fresh copies of `tables`."""
     times = []
     for _ in range(reps):
+        fresh = [replace(T) for T in tables]
         t0 = time.perf_counter()
-        f()
+        f(*fresh)
         times.append(time.perf_counter() - t0)
     return round(min(times), 4)
 
@@ -63,19 +73,20 @@ def boolean(k, reps):
         "lattice_from_order_s": best(lambda: core.lattice_from_order(P), reps),
         "is_strong_s": best(lambda: core.is_strong(L), reps),
         "validate_orthosemilattice_s": best(lambda: core.validate_orthosemilattice(S), reps),
-        "reconstruct_s": best(lambda: imp.reconstruct_orthosemilattice(T), reps),
+        "reconstruct_s": best(imp.reconstruct_orthosemilattice, reps, [T]),
         "overlap_s": best(lambda: core.check_overlap_consistency(S), reps),
-        "identities_s": best(lambda: imp.check_ioa_identities(T), reps),
-        "induced_join_s": best(lambda: imp.induced_join(T), reps),
-        "congruence_lattice_s": best(lambda: cong.congruence_lattice(T), reps),
+        "identities_s": best(imp.check_ioa_identities, reps, [T]),
+        "induced_join_s": best(imp.induced_join, reps, [T]),
+        "congruence_lattice_s": best(cong.congruence_lattice, reps, [T]),
         "closures": closures(lambda: cong.congruence_lattice(T)),
         "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for t in T1_T6], reps),
     }
 
 
 def families_pass(seed, reps):
+    models = workloads.prepare_families(seed, 0, None, {})["models"]
     filters = []
-    for model in workloads.prepare_families(seed, 0, None, {})["models"]:
+    for model in models:
         L = catalog_io.parse_olat(model["olat"])
         strong = core.is_strong(L)
         if not strong:
@@ -86,11 +97,12 @@ def families_pass(seed, reps):
     return {
         "filters": len(filters),
         "validate_orthosemilattice_s": best(lambda: [core.validate_orthosemilattice(F) for F in filters], reps),
-        "reconstruct_s": best(lambda: [imp.reconstruct_orthosemilattice(T) for T in tables], reps),
+        "reconstruct_s": best(lambda *ts: [imp.reconstruct_orthosemilattice(T) for T in ts], reps, tables),
         "overlap_s": best(lambda: [core.check_overlap_consistency(F) for F in filters], reps),
-        "congruence_lattice_s": best(lambda: [cong.congruence_lattice(T) for T in tables], reps),
+        "congruence_lattice_s": best(lambda *ts: [cong.congruence_lattice(T) for T in ts], reps, tables),
         "closures": closures(lambda: [cong.congruence_lattice(T) for T in tables]),
         "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for T in tables for t in T1_T6], reps),
+        "decided": decided(models),
     }
 
 
@@ -110,6 +122,23 @@ def closures(f):
     finally:
         cong.principal_congruence = real
     return calls[0]
+
+
+def decided(models):
+    """Facts an `ImplicationTable` keeps, decided over one `workloads._pipeline` run of every model."""
+    facts = {"identities": imp.check_ioa_identities, "induced_join": imp.induced_join,
+             "bruteforce": cong._congruences_bruteforce}
+    calls = {key: [0] for key in facts}
+    real = {key: fact.__wrapped__ for key, fact in facts.items()}
+    for key, fact in facts.items():
+        fact.__wrapped__ = counted(real[key], calls[key])
+    try:
+        for model in models:
+            workloads._pipeline(model["olat"])
+    finally:
+        for key, fact in facts.items():
+            fact.__wrapped__ = real[key]
+    return {key: c[0] for key, c in calls.items()}
 
 
 def catalog_reducts(reps):

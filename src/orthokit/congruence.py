@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .core import _cover_pairs
 from .errors import BadIndex, InconsistentTable, MissingOne, NotAJoin, NotAnOrder, NotD1, NotD2, TooLarge
-from .implication import ImplicationTable, induced_join
+from .implication import ImplicationTable, _table_fact, induced_join
 from .report import Verdict
 
 BRUTE_FORCE_LIMIT = 10  # Bell(10) = 115975 partitions
@@ -173,13 +173,19 @@ def all_congruences_bruteforce(T: ImplicationTable) -> list[Partition]:
     Elements are placed in the order of `iter_partitions`, and a branch is cut
     at the first compatibility constraint its placed elements violate.  The
     search uses no congruence closure, so it stays independent of
-    `congruence_lattice`.
+    `congruence_lattice`.  It runs once per table object; each call returns
+    a fresh list.
     """
+    return list(_congruences_bruteforce(T))
+
+
+@_table_fact
+def _congruences_bruteforce(T: ImplicationTable) -> tuple[Partition, ...]:
     n = T.n
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(n, BRUTE_FORCE_LIMIT)
     if n == 0:
-        return []
+        return ()
     levels = _constraints_by_level(T)
     rep = [0] * n
     found = []
@@ -195,7 +201,7 @@ def all_congruences_bruteforce(T: ImplicationTable) -> list[Partition]:
 
     place(1, (0,))
     found.sort(key=Partition.sort_key)
-    return found
+    return tuple(found)
 
 
 def _close(T: ImplicationTable, rep: list[int], pending: list[tuple[int, int]]) -> Partition:

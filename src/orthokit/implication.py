@@ -9,6 +9,7 @@ on valid inputs, which the test suite checks table by table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .core import (
     IntervalWitness,
@@ -37,7 +38,10 @@ Table = tuple[Row, ...]
 
 @dataclass(frozen=True)
 class ImplicationTable:
-    """Carrier 0..n-1, the n x n table of the binary operation, and the constant 1."""
+    """Carrier 0..n-1, the n x n table of the binary operation, and the constant 1.
+
+    The facts that `_table_fact` functions decide are kept on the object.
+    """
 
     n: int
     bullet: Table
@@ -49,6 +53,30 @@ class ImplicationTable:
 
     def label(self, i: int) -> str:
         return self.names[i] if self.names else str(i)
+
+
+def _table_fact(decide):
+    """Keep decide(T) on the table object T, the way `functools.cached_property` keeps a value.
+
+    The first call on a table decides; later calls on the same object return
+    what it decided, from the instance's `__dict__`, which the frozen
+    dataclass's ==, hash and repr never read.  An exception is not kept, so a
+    rejected table raises again on every call.  The fact belongs to the
+    object, not to its value: `names` take no part in ==, yet the details of
+    a report carry labels, and no cache outlives the table.  The result must
+    be immutable, since every caller gets the same one.  A decision calls
+    `fact.__wrapped__`, so a test can count decisions by replacing it.
+    """
+    key = f"{decide.__module__}.{decide.__qualname__}"
+
+    @wraps(decide)
+    def fact(T: ImplicationTable):
+        facts = T.__dict__
+        if key not in facts:
+            facts[key] = fact.__wrapped__(T)
+        return facts[key]
+
+    return fact
 
 
 def derive_bullet(S: OrthosemilatticeTable) -> ImplicationTable:
@@ -66,6 +94,7 @@ def derive_bullet(S: OrthosemilatticeTable) -> ImplicationTable:
     return ImplicationTable(n=n, bullet=tuple(rows), one=S.top, names=S.names)
 
 
+@_table_fact
 def check_ioa_identities(T: ImplicationTable) -> CheckReport:
     """Exhaustively check the defining identities in this order, then whether (d) and (d') agreed:
         (a)  x*1 = 1, x*x = 1, 1*x = x
@@ -73,7 +102,8 @@ def check_ioa_identities(T: ImplicationTable) -> CheckReport:
         (c)  (((x*y)*y)*p)*(x*p) = 1
         (d)  (((x*p)*p)*p)*((x*p)*p) = (x*p)*p
         (d') p*a = 1 implies ((a*p)*a)*a = 1, the conditional form of (d) with p <= a read
-             off the induced relation x <= y iff x*y = 1; the two agree on any genuine table."""
+             off the induced relation x <= y iff x*y = 1; the two agree on any genuine table.
+    Decided once per table object (`_table_fact`)."""
     _check_tables(T.n, (T.bullet,), (), (T.one,))
     n, B, one = T.n, T.bullet, T.one
     lab = T.label
@@ -143,8 +173,9 @@ def induced_order(T: ImplicationTable) -> PosetTable:
     return poset
 
 
+@_table_fact
 def induced_join(T: ImplicationTable) -> Table:
-    """Tabulate x v y := (x*y)*y and verify it is the lub of the induced order."""
+    """Tabulate x v y := (x*y)*y and verify it is the lub of the induced order, once per table object."""
     n, B = T.n, T.bullet
     up, _ = _up_down(induced_order(T).leq)
     join = tuple(tuple(B[B[x][y]][y] for y in range(n)) for x in range(n))
