@@ -5,9 +5,12 @@ and the term layer of `verify-theorems` on every catalog reduct.
 Boolean 2^k comes from `perfbench/families.py`.  Every time is the best of
 `reps` in-process calls, in seconds; `reconstruct` includes the identities,
 `induced_join` and the validator, and `ideal_terms` is `is_ideal_term` on
-t1..t6.  An `ImplicationTable` keeps its identity report, induced join and
-brute-force congruences once decided, so each rep runs on fresh copies of the
-tables (`dataclasses.replace`, made before the clock starts) and times the
+t1..t6.  `kernel_rules` is `theta_from_kernel` (D1, D2, the relation and
+its checks) on the kernel of every congruence that `congruence_lattice`
+finds, the kernels found before the clock starts.  An `ImplicationTable`
+keeps its identity report, induced join and brute-force congruences once
+decided, so each rep runs on fresh copies of the tables
+(`dataclasses.replace`, made before the clock starts) and times the
 decisions, not lookups of kept facts.  The `closures` column counts the
 principal congruences that one run of `congruence_lattice` closes (on every
 filter, in `--families`), by wrapping `congruence.principal_congruence` here;
@@ -79,6 +82,7 @@ def boolean(k, reps):
         "induced_join_s": best(imp.induced_join, reps, [T]),
         "congruence_lattice_s": best(cong.congruence_lattice, reps, [T]),
         "closures": closures(lambda: cong.congruence_lattice(T)),
+        "kernel_rules_s": best(kernel_rules([T]), reps, [T]),
         "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for t in T1_T6], reps),
     }
 
@@ -101,9 +105,18 @@ def families_pass(seed, reps):
         "overlap_s": best(lambda: [core.check_overlap_consistency(F) for F in filters], reps),
         "congruence_lattice_s": best(lambda *ts: [cong.congruence_lattice(T) for T in ts], reps, tables),
         "closures": closures(lambda: [cong.congruence_lattice(T) for T in tables]),
+        "kernel_rules_s": best(kernel_rules(tables), reps, tables),
         "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for T in tables for t in T1_T6], reps),
         "decided": decided(models),
     }
+
+
+def kernel_rules(tables):
+    """A call of `theta_from_kernel` on the kernel of every congruence of each table, for `best`.
+
+    The kernels are found here, before the clock starts."""
+    kernels = [[cong.kernel(T, P).members for P in cong.congruence_lattice(T)] for T in tables]
+    return lambda *ts: [cong.theta_from_kernel(T, K) for T, ks in zip(ts, kernels) for K in ks]
 
 
 def counted(fn, calls):

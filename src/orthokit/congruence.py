@@ -15,12 +15,23 @@ a v b, and the covering pairs generate every congruence.  The join also
 gives x*x = 1 and 1*y = y, so Θ(a, d) = Θ(1, d*a) and one closure serves all
 covers with the same d*a.  A table whose induced relation is not an order
 with that join takes all n(n-1)/2 pairs.
+
+The kernel rules are decided on θ_D, where x θ_D y iff x*y and y*x lie in
+D, from one bitset of D per row and per column of the table.  D1 is one
+containment of row bitsets per (x, y).  θ_D is symmetric, so the right half
+of D2 holds iff θ_D is compatible on the right (x θ_D y gives
+x*z θ_D y*z: apply the half to (x, y) and to (y, x)), and the left half iff
+it is compatible on the left.  Where θ_D is an equivalence, each half is one
+comparison of every row, or column, read through the least representatives
+with its representative's.  The ordered triple scans only name the first
+witness, after a fast test has failed or where θ_D is not an equivalence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .core import _cover_pairs
 from .errors import BadIndex, InconsistentTable, MissingOne, NotAJoin, NotAnOrder, NotD1, NotD2, TooLarge
@@ -108,11 +119,16 @@ def congruence_violation(T: ImplicationTable, P: Partition) -> tuple | None:
     """First (a, b, c, d) with a~b, c~d but a*c not~ b*d, or None.
 
     Checked one argument at a time; by transitivity that is equivalent to
-    the two-pair form, and the counterexample returned keeps that form.
+    the two-pair form, and the counterexample returned keeps that form.  P is
+    compatible iff every row and every column, read through P.rep, equals
+    its representative's; the ordered scan runs only when that test fails,
+    to name the first counterexample.
     """
     n, B, rep = T.n, T.bullet, P.rep
     if P.n != n:
         raise BadIndex(P.n, n)
+    if all(_read_alike(readers, rep) for readers in _readers(T)):
+        return None
     for a in range(n):
         for b in range(a + 1, n):
             if rep[a] != rep[b]:
@@ -215,7 +231,7 @@ def _close(T: ImplicationTable, rep: list[int], pending: list[tuple[int, int]]) 
     for a, b in pending:
         if not (0 <= a < n and 0 <= b < n):
             raise BadIndex((a, b), n)
-    cols = list(zip(*B))
+    cols = _columns(T)
     members: dict[int, list[int]] = {}
     for x, r in enumerate(rep):
         members.setdefault(r, []).append(x)
@@ -330,31 +346,100 @@ def subsets_with_one(T: ImplicationTable):
             yield frozenset(picked) | {T.one}
 
 
-def _d1_failure(T: ImplicationTable, members) -> tuple | None:
-    """First (x, y, z) with x in D and y*z in D but (x*y)*z not in D."""
-    n, B = T.n, T.bullet
-    for x in range(n):
-        if x not in members:
-            continue
-        for y in range(n):
-            xy = B[x][y]
-            for z in range(n):
-                if B[y][z] in members and B[xy][z] not in members:
-                    return (x, y, z)
+@_table_fact
+def _columns(T: ImplicationTable) -> tuple[tuple[int, ...], ...]:
+    """The table's columns: _columns(T)[y][x] = x*y."""
+    return tuple(zip(*T.bullet))
+
+
+def _bits(lines, has) -> list[int]:
+    """One bitset per line: bit 8i is set iff has(line[i])."""
+    return [int.from_bytes(bytes(map(has, line)), "little") for line in lines]
+
+
+def _lowest(bits: int) -> int:
+    """The index i of the least set bit 8i of a nonzero `_bits` bitset."""
+    return ((bits & -bits).bit_length() - 1) >> 3
+
+
+@_table_fact
+def _readers(T: ImplicationTable) -> tuple[tuple[itemgetter, ...], tuple[itemgetter, ...]]:
+    """For each row x and each column x, the getter reading a sequence s at the line's entries.
+
+    The row getter maps s to (s[x*0], s[x*1], ...) and the column getter
+    to (s[0*x], s[1*x], ...).
+    """
+    return tuple(itemgetter(*row) for row in T.bullet), tuple(itemgetter(*col) for col in _columns(T))
+
+
+def _read_alike(readers, rep) -> bool:
+    """Whether every line, read through rep, equals the line of its representative."""
+    read = [get(rep) for get in readers]
+    return list(map(read.__getitem__, rep)) == read
+
+
+def _members(T: ImplicationTable, D) -> frozenset[int]:
+    """D as a frozenset, once its members are known to be elements and 1 to be one of them."""
+    members = frozenset(D)
+    carrier = range(T.n)
+    if not all(map(carrier.__contains__, members)):
+        raise BadIndex(min(x for x in members if x not in carrier), T.n)
+    if T.one not in members:
+        raise MissingOne()
+    return members
+
+
+def _line_bits(T: ImplicationTable, members: frozenset[int]) -> tuple[list[int], list[int]]:
+    """Bitsets of D along the table: bit 8z of rows[x] is x*z in D, bit 8z of cols[x] is z*x in D."""
+    has = members.__contains__
+    return _bits(T.bullet, has), _bits(_columns(T), has)
+
+
+def _theta(rows: list[int], cols: list[int]) -> tuple[tuple[int, ...], bool]:
+    """θ_D's least relatives rep[x] (x itself if it has none), and whether θ_D is an equivalence.
+
+    x θ_D y iff bit 8y of rows[x] & cols[x] is set.  The relation is
+    symmetric, so it is an equivalence iff every x has a relative and the
+    same relatives as rep[x]: then x ~ y gives rep[x] ~ y, so
+    rep[y] <= rep[x], and likewise rep[x] <= rep[y].
+    """
+    rel = [r & c for r, c in zip(rows, cols)]
+    rep = tuple(_lowest(e) if e else x for x, e in enumerate(rel))
+    return rep, all(e and e == rel[r] for e, r in zip(rel, rep))
+
+
+def _d1_failure(T: ImplicationTable, members: frozenset[int], rows: list[int]) -> tuple | None:
+    """First (x, y, z) with x in D and y*z in D but (x*y)*z not in D.
+
+    For each x in D and each y, row y's bitset must lie inside row x*y's;
+    the least bit outside names z.
+    """
+    B = T.bullet
+    for x in sorted(members):
+        for y, xy in enumerate(B[x]):
+            missed = rows[y] & ~rows[xy]
+            if missed:
+                return (x, y, _lowest(missed))
     return None
 
 
-def check_d1(T: ImplicationTable, D) -> Verdict:
-    """x in D and y*z in D imply (x*y)*z in D; witness is (x, y, z)."""
-    members = frozenset(D)
-    if T.one not in members:
-        raise MissingOne()
-    w = _d1_failure(T, members)
-    return Verdict(w is None, w)
-
-
-def _d2_failure(T: ImplicationTable, members, right: bool = True, left: bool = True) -> tuple | None:
+def _d2_failure(T: ImplicationTable, members: frozenset[int], right: bool = True, left: bool = True) -> tuple | None:
     """First (x, y, z) with x*y, y*x in D but (x*z)*(y*z) (right half) or (z*x)*(z*y) (left half) not in D."""
+    rep, equivalence = _theta(*_line_bits(T, members))
+    return _d2_witness(T, members, rep, equivalence, right, left)
+
+
+def _d2_witness(T: ImplicationTable, members, rep, equivalence: bool, right: bool = True, left: bool = True):
+    """`_d2_failure` given θ_D's least relatives and whether θ_D is an equivalence.
+
+    Where it is, a half holds iff θ_D is compatible on that side (see the
+    module docstring), which `_read_alike` decides.  The ordered scan runs
+    only where that test fails or θ_D is not an equivalence, and names the
+    first witness.
+    """
+    by_row, by_col = _readers(T)
+    if equivalence and (not right or _read_alike(by_row, rep)) and (not left or _read_alike(by_col, rep)):
+        return None
     n, B = T.n, T.bullet
     for x in range(n):
         for y in range(n):
@@ -366,12 +451,23 @@ def _d2_failure(T: ImplicationTable, members, right: bool = True, left: bool = T
     return None
 
 
+def check_d1(T: ImplicationTable, D) -> Verdict:
+    """x in D and y*z in D imply (x*y)*z in D; witness is (x, y, z)."""
+    members = _members(T, D)
+    w = _d1_failure(T, members, _bits(T.bullet, members.__contains__))
+    return Verdict(w is None, w)
+
+
 def check_d2(T: ImplicationTable, D) -> Verdict:
-    """x*y, y*x in D imply (x*z)*(y*z) in D and (z*x)*(z*y) in D; witness is (x, y, z)."""
-    members = frozenset(D)
-    if T.one not in members:
-        raise MissingOne()
-    w = _d2_failure(T, members)
+    """x*y, y*x in D imply (x*z)*(y*z) in D and (z*x)*(z*y) in D; witness is (x, y, z).
+
+    With x θ_D y iff x*y and y*x lie in D, the first half holds iff θ_D is
+    compatible on the right and the second iff it is compatible on the left
+    (θ_D is symmetric).  Where θ_D is an equivalence both are decided by one
+    comparison per row and per column; the triple scan only names the
+    first witness of a failure.
+    """
+    w = _d2_failure(T, _members(T, D))
     return Verdict(w is None, w)
 
 
@@ -379,24 +475,24 @@ def theta_from_kernel(T: ImplicationTable, D) -> Partition:
     """The congruence whose kernel is D: relate x and y iff x*y and y*x lie in D.
 
     D must contain 1 and satisfy the two closure rules, otherwise NotD1 or
-    NotD2 is raised.  That the relation is an equivalence, its compatibility,
-    and the kernel itself are then verified rather than trusted; a violation
-    cannot happen for genuine inputs and raises InconsistentTable.
+    NotD2 is raised; a member outside the carrier raises BadIndex.  D2 is
+    exactly the compatibility of this symmetric relation on both sides, so
+    the rules are decided on its classes and the triple scans only name
+    the first witness.  That the relation is an equivalence, its
+    compatibility, and the kernel itself are then verified rather than
+    trusted; a violation cannot happen for genuine inputs and raises
+    InconsistentTable.
     """
-    members = frozenset(D)
-    if T.one not in members:
-        raise MissingOne()
-    w = _d1_failure(T, members)
+    members = _members(T, D)
+    rows, cols = _line_bits(T, members)
+    w = _d1_failure(T, members, rows)
     if w is not None:
         raise NotD1(w)
-    w = _d2_failure(T, members)
+    rep, equivalence = _theta(rows, cols)
+    w = _d2_witness(T, members, rep, equivalence)
     if w is not None:
         raise NotD2(w)
-    n, B = T.n, T.bullet
-    rel = [[B[x][y] in members and B[y][x] in members for y in range(n)] for x in range(n)]
-    # rel is an equivalence iff it relates exactly the pairs with equal least relative
-    rep = tuple(next((y for y in range(n) if rel[x][y]), x) for x in range(n))
-    if any(rel[x][y] != (rep[x] == rep[y]) for x in range(n) for y in range(n)):
+    if not equivalence:
         raise InconsistentTable("kernel relation is not an equivalence")
     P = Partition(rep)
     bad = congruence_violation(T, P)

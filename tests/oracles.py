@@ -6,6 +6,7 @@ two-pair definition, term values by direct recursion.
 """
 
 from itertools import product
+from types import SimpleNamespace
 
 
 def closure_from_covers(n, covers):
@@ -97,6 +98,78 @@ def naive_is_congruence(T, P):
                     if rep[c] == rep[d] and rep[B[a][c]] != rep[B[b][d]]:
                         return False
     return True
+
+
+def naive_congruence_violation(T, P):
+    """First (a, b, c, d) with a~b, c~d but a*c not~ b*d under P.rep, or None, by the plain
+    ordered scan over a < b in one block: (a, b, c, c) when a*c and b*c part, (c, c, a, b) when
+    c*a and c*b part."""
+    n, B, rep = T.n, T.bullet, P.rep
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rep[a] != rep[b]:
+                continue
+            for c in range(n):
+                if rep[B[a][c]] != rep[B[b][c]]:
+                    return (a, b, c, c)
+                if rep[B[c][a]] != rep[B[c][b]]:
+                    return (c, c, a, b)
+    return None
+
+
+def naive_d1_failure(T, D):
+    """First (x, y, z) with x in D and y*z in D but (x*y)*z not in D, by the plain triple scan."""
+    n, B, members = T.n, T.bullet, frozenset(D)
+    for x in range(n):
+        if x not in members:
+            continue
+        for y in range(n):
+            for z in range(n):
+                if B[y][z] in members and B[B[x][y]][z] not in members:
+                    return (x, y, z)
+    return None
+
+
+def naive_d2_failure(T, D, right=True, left=True):
+    """First (x, y, z) with x*y, y*x in D but (x*z)*(y*z) (right half) or (z*x)*(z*y) (left
+    half) not in D, by the plain triple scan."""
+    n, B, members = T.n, T.bullet, frozenset(D)
+    for x in range(n):
+        for y in range(n):
+            if B[x][y] not in members or B[y][x] not in members:
+                continue
+            for z in range(n):
+                if (right and B[B[x][z]][B[y][z]] not in members) or (left and B[B[z][x]][B[z][y]] not in members):
+                    return (x, y, z)
+    return None
+
+
+def naive_theta_from_kernel(T, D):
+    """The least-representative tuple of x ~ y iff x*y, y*x in D, with the checks and exceptions
+    of `theta_from_kernel`: the rules by the scans above, then the relation tested to be an
+    equivalence, compatible, and of kernel D, entry by entry."""
+    from orthokit.errors import InconsistentTable, MissingOne, NotD1, NotD2
+
+    n, B, members = T.n, T.bullet, frozenset(D)
+    if T.one not in members:
+        raise MissingOne()
+    w = naive_d1_failure(T, members)
+    if w is not None:
+        raise NotD1(w)
+    w = naive_d2_failure(T, members)
+    if w is not None:
+        raise NotD2(w)
+    rel = [[B[x][y] in members and B[y][x] in members for y in range(n)] for x in range(n)]
+    rep = tuple(next((y for y in range(n) if rel[x][y]), x) for x in range(n))
+    if any(rel[x][y] != (rep[x] == rep[y]) for x in range(n) for y in range(n)):
+        raise InconsistentTable("kernel relation is not an equivalence")
+    bad = naive_congruence_violation(T, SimpleNamespace(rep=rep))
+    if bad is not None:
+        raise InconsistentTable(f"kernel relation not compatible at {bad}")
+    got = frozenset(y for y in range(n) if rep[y] == rep[T.one])
+    if got != members:
+        raise InconsistentTable(f"kernel mismatch: expected {sorted(members)}, got {sorted(got)}")
+    return rep
 
 
 def naive_eval(T, node, xs, ys):

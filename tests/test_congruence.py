@@ -279,3 +279,15 @@ def test_identity_c_restated_for_transitivity():
                 xy = B[B[x][y]][y]
                 for z in range(T.n):
                     assert B[B[xy][z]][B[x][z]] == one
+
+
+def test_rules_reject_members_outside_the_carrier():
+    # the subset is at fault, not the table: BadIndex, as congruence_closure raises for pairs
+    T = entry("bool4_reduct").payload
+    for bad in ({T.one, 99}, {T.one, -1}):
+        with pytest.raises(BadIndex):
+            check_d1(T, bad)
+        with pytest.raises(BadIndex):
+            check_d2(T, bad)
+        with pytest.raises(BadIndex):
+            theta_from_kernel(T, bad)
