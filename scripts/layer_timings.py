@@ -75,6 +75,7 @@ def boolean(k, reps):
         "n": L.n,
         "lattice_from_order_s": best(lambda: core.lattice_from_order(P), reps),
         "is_strong_s": best(lambda: core.is_strong(L), reps),
+        "validate_ortholattice_s": best(lambda: core.validate_ortholattice(L), reps),
         "validate_orthosemilattice_s": best(lambda: core.validate_orthosemilattice(S), reps),
         "reconstruct_s": best(imp.reconstruct_orthosemilattice, reps, [T]),
         "overlap_s": best(lambda: core.check_overlap_consistency(S), reps),
@@ -89,9 +90,9 @@ def boolean(k, reps):
 
 def families_pass(seed, reps):
     models = workloads.prepare_families(seed, 0, None, {})["models"]
+    lattices = [catalog_io.parse_olat(model["olat"]) for model in models]
     filters = []
-    for model in models:
-        L = catalog_io.parse_olat(model["olat"])
+    for L in lattices:
         strong = core.is_strong(L)
         if not strong:
             continue
@@ -100,9 +101,11 @@ def families_pass(seed, reps):
     tables = [imp.derive_bullet(F) for F in filters]
     return {
         "filters": len(filters),
+        "validate_ortholattice_s": best(lambda: [core.validate_ortholattice(L) for L in lattices], reps),
         "validate_orthosemilattice_s": best(lambda: [core.validate_orthosemilattice(F) for F in filters], reps),
         "reconstruct_s": best(lambda *ts: [imp.reconstruct_orthosemilattice(T) for T in ts], reps, tables),
         "overlap_s": best(lambda: [core.check_overlap_consistency(F) for F in filters], reps),
+        "induced_join_s": best(lambda *ts: [imp.induced_join(T) for T in ts], reps, tables),
         "congruence_lattice_s": best(lambda *ts: [cong.congruence_lattice(T) for T in ts], reps, tables),
         "closures": closures(lambda: [cong.congruence_lattice(T) for T in tables]),
         "kernel_rules_s": best(kernel_rules(tables), reps, tables),

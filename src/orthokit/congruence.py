@@ -35,7 +35,7 @@ from operator import itemgetter
 
 from .core import _cover_pairs
 from .errors import BadIndex, InconsistentTable, MissingOne, NotAJoin, NotAnOrder, NotD1, NotD2, TooLarge
-from .implication import ImplicationTable, _table_fact, induced_join
+from .implication import ImplicationTable, _columns, _table_fact, induced_join
 from .report import Verdict
 
 BRUTE_FORCE_LIMIT = 10  # Bell(10) = 115975 partitions
@@ -346,15 +346,21 @@ def subsets_with_one(T: ImplicationTable):
             yield frozenset(picked) | {T.one}
 
 
-@_table_fact
-def _columns(T: ImplicationTable) -> tuple[tuple[int, ...], ...]:
-    """The table's columns: _columns(T)[y][x] = x*y."""
-    return tuple(zip(*T.bullet))
-
-
 def _bits(lines, has) -> list[int]:
     """One bitset per line: bit 8i is set iff has(line[i])."""
     return [int.from_bytes(bytes(map(has, line)), "little") for line in lines]
+
+
+class _LazyBits(dict):
+    """The `_bits` of lines, each built on its first read: bits[x] is the bitset of lines[x]."""
+
+    def __init__(self, lines, has):
+        super().__init__()
+        self.lines, self.has = lines, has
+
+    def __missing__(self, x: int) -> int:
+        bits = self[x] = int.from_bytes(bytes(map(self.has, self.lines[x])), "little")
+        return bits
 
 
 def _lowest(bits: int) -> int:
@@ -408,7 +414,7 @@ def _theta(rows: list[int], cols: list[int]) -> tuple[tuple[int, ...], bool]:
     return rep, all(e and e == rel[r] for e, r in zip(rel, rep))
 
 
-def _d1_failure(T: ImplicationTable, members: frozenset[int], rows: list[int]) -> tuple | None:
+def _d1_failure(T: ImplicationTable, members: frozenset[int], rows) -> tuple | None:
     """First (x, y, z) with x in D and y*z in D but (x*y)*z not in D.
 
     For each x in D and each y, row y's bitset must lie inside row x*y's;
@@ -454,7 +460,7 @@ def _d2_witness(T: ImplicationTable, members, rep, equivalence: bool, right: boo
 def check_d1(T: ImplicationTable, D) -> Verdict:
     """x in D and y*z in D imply (x*y)*z in D; witness is (x, y, z)."""
     members = _members(T, D)
-    w = _d1_failure(T, members, _bits(T.bullet, members.__contains__))
+    w = _d1_failure(T, members, _LazyBits(T.bullet, members.__contains__))
     return Verdict(w is None, w)
 
 
@@ -478,10 +484,12 @@ def theta_from_kernel(T: ImplicationTable, D) -> Partition:
     NotD2 is raised; a member outside the carrier raises BadIndex.  D2 is
     exactly the compatibility of this symmetric relation on both sides, so
     the rules are decided on its classes and the triple scans only name
-    the first witness.  That the relation is an equivalence, its
-    compatibility, and the kernel itself are then verified rather than
-    trusted; a violation cannot happen for genuine inputs and raises
-    InconsistentTable.
+    the first witness.  Where the relation is an equivalence, D2 holding is
+    its compatibility: `_d2_witness` has compared every row and every column
+    through its classes, so no further compatibility check is made.  That
+    the relation is an equivalence, and the kernel itself, are verified
+    rather than trusted; a violation cannot happen for genuine inputs and
+    raises InconsistentTable.
     """
     members = _members(T, D)
     rows, cols = _line_bits(T, members)
@@ -495,9 +503,6 @@ def theta_from_kernel(T: ImplicationTable, D) -> Partition:
     if not equivalence:
         raise InconsistentTable("kernel relation is not an equivalence")
     P = Partition(rep)
-    bad = congruence_violation(T, P)
-    if bad is not None:
-        raise InconsistentTable(f"kernel relation not compatible at {bad}")
     got = kernel(T, P).members
     if got != members:
         raise InconsistentTable(f"kernel mismatch: expected {sorted(members)}, got {sorted(got)}")

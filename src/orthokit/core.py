@@ -9,7 +9,9 @@ inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count
+from functools import reduce
+from itertools import compress, repeat
+from operator import eq, is_not, itemgetter, le, or_
 
 from .errors import (
     BadIndex,
@@ -120,39 +122,41 @@ class StrongnessResult:
 
 
 def validate_poset(leq) -> PosetTable:
-    """Check reflexivity, antisymmetry, and transitivity; raise on the first violation."""
-    rows = tuple(tuple(bool(v) for v in row) for row in leq)
+    """Check reflexivity, antisymmetry, and transitivity; raise on the first violation.
+
+    Antisymmetry and transitivity are decided on the up-set and down-set
+    bitsets: up[i] & down[i] must be {i}, and the up-sets of the elements
+    above i, joined, must give up[i] back.  The ordered scans run only when
+    one of these tests fails, to name the first violation.
+    """
+    rows = tuple(tuple(map(bool, row)) for row in leq)
     n = len(rows)
     if n < 1 or any(len(row) != n for row in rows):
         raise BadIndex("relation", n)
     for i in range(n):
         if not rows[i][i]:
             raise NotReflexive(i)
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i][j] and rows[j][i]:
-                raise NotAntisymmetric(i, j)
-    for i in range(n):
-        for j in range(n):
-            if not rows[i][j]:
-                continue
-            for k in range(n):
-                if rows[j][k] and not rows[i][k]:
-                    raise NotTransitive(i, j, k)
+    up, down = _up_down(rows)
+    if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
+        for i in range(n):
+            for j in range(n):
+                if i != j and rows[i][j] and rows[j][i]:
+                    raise NotAntisymmetric(i, j)
+    if any(reduce(or_, compress(up, row)) != u for row, u in zip(rows, up)):
+        for i in range(n):
+            for j in range(n):
+                if not rows[i][j]:
+                    continue
+                for k in range(n):
+                    if rows[j][k] and not rows[i][k]:
+                        raise NotTransitive(i, j, k)
     return PosetTable(n, rows)
-
-
-def _mask(elements) -> int:
-    """Bitset of a collection of indices."""
-    bits = 0
-    for e in elements:
-        bits |= 1 << e
-    return bits
 
 
 def _up_down(leq) -> tuple[list[int], list[int]]:
     """Up-set and down-set bitsets of every element of a boolean relation matrix."""
-    return [_mask(compress(count(), row)) for row in leq], [_mask(compress(count(), col)) for col in zip(*leq)]
+    bits = [1 << i for i in range(len(leq))]
+    return [sum(compress(bits, row)) for row in leq], [sum(compress(bits, col)) for col in zip(*leq)]
 
 
 def _cover_pairs(leq) -> list[tuple[int, int]]:
@@ -231,19 +235,37 @@ def _check_tables(n: int, tables, maps, elements) -> None:
         n >= 1
         and all(len(table) == n for table in tables)
         and all(len(row) == n for row in rows)
-        and all(0 <= v < n for row in rows for v in row)
+        and 0 <= min(map(min, rows), default=0)
+        and max(map(max, rows), default=0) < n
         and all(0 <= v < n for v in elements)
     ):
         raise BadIndex("table entry", n)
 
 
-def _associative(name: str, table, lab) -> Check:
-    """The first (x, y, z) with (x v y) v z != x v (y v z); row x v y is tested for all z at once."""
-    rows = [tuple(row) for row in table]
+def _reader(row):
+    """itemgetter(*row), mapping s to (s[row[0]], s[row[1]], ...): a tuple also when row has one entry."""
+    if len(row) == 1:
+        return lambda s, i=row[0]: (s[i],)
+    return itemgetter(*row)
+
+
+def _law(name: str, holds: bool, fails) -> Check:
+    """A check decided by a whole-row test: passed when `holds`, else named by the ordered scan `fails`."""
+    return Check(name, True) if holds else first_failure(name, fails)
+
+
+def _associative(name: str, rows: Table, readers, lab) -> Check:
+    """The first (x, y, z) with (x v y) v z != x v (y v z).
+
+    Row x v y must be row x read along row y, readers[y](rows[x]), for
+    every y at once.  The scan over z runs only for a pair (x, y) that fails.
+    """
     rng = range(len(rows))
-    return first_failure(name, (
+    return _law(name, all(
+        [get(row) for get in readers] == list(map(rows.__getitem__, row)) for row in rows
+    ), (
         f"x={lab(x)} y={lab(y)} z={lab(z)}"
-        for x in rng for y in rng if rows[rows[x][y]] != tuple(map(rows[x].__getitem__, rows[y]))
+        for x in rng for y in rng if rows[rows[x][y]] != readers[y](rows[x])
         for z in rng if rows[rows[x][y]][z] != rows[x][rows[y][z]]
     ))
 
@@ -252,20 +274,30 @@ def validate_ortholattice(L: OrtholatticeTable) -> CheckReport:
     """Check every ortholattice axiom exhaustively; report one counterexample per failure.
 
     De Morgan is derivable from involution plus antitonicity but is checked
-    anyway, as a guard against inconsistent tables.
+    anyway, as a guard against inconsistent tables.  The laws over pairs and
+    triples are decided by whole-row tests: commutativity by one transpose,
+    associativity, absorption and De Morgan by one getter read per row, and
+    antitonicity by comparing row x of the order with column comp(x) read
+    through comp.  The ordered scan of a law runs only when its test fails,
+    to name the first counterexample.
     """
     _check_tables(L.n, (L.join, L.meet), (L.comp,), (L.bot, L.top))
-    n, jn, mt, cp = L.n, L.join, L.meet, L.comp
-    lab = L.label
-    rng = range(n)
+    n, lab, rng = L.n, L.label, range(L.n)
+    jn, mt, cp = tuple(map(tuple, L.join)), tuple(map(tuple, L.meet)), tuple(L.comp)
+    jr, mr, flip = [_reader(row) for row in jn], [_reader(row) for row in mt], _reader(cp)
+    # leq[x][y] is x <= y; below[c] is column c of leq, below[c][z] is z <= c
+    leq = [tuple(map(eq, row, rng)) for row in jn]
+    below = tuple(zip(*leq))
     checks = (
-        first_failure("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
-        first_failure("meet-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if mt[x][y] != mt[y][x])),
-        _associative("join-associative", jn, lab),
-        _associative("meet-associative", mt, lab),
+        _law("join-commutative", tuple(zip(*jn)) == jn,
+             (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
+        _law("meet-commutative", tuple(zip(*mt)) == mt,
+             (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if mt[x][y] != mt[y][x])),
+        _associative("join-associative", jn, jr, lab),
+        _associative("meet-associative", mt, mr, lab),
         first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
         first_failure("meet-idempotent", (f"x={lab(x)}" for x in rng if mt[x][x] != x)),
-        first_failure("absorption", (
+        _law("absorption", all(jr[x](mt[x]) == mr[x](jn[x]) == (x,) * n for x in rng), (
             f"x={lab(x)} y={lab(y)}"
             for x in rng for y in rng if jn[x][mt[x][y]] != x or mt[x][jn[x][y]] != x
         )),
@@ -274,7 +306,7 @@ def validate_ortholattice(L: OrtholatticeTable) -> CheckReport:
         first_failure("comp-involution", (
             f"x={lab(x)}: comp(comp(x))={lab(cp[cp[x]])}" for x in rng if cp[cp[x]] != x
         )),
-        first_failure("comp-antitone", (
+        _law("comp-antitone", all(all(map(le, leq[x], flip(below[cp[x]]))) for x in rng), (
             f"x={lab(x)} y={lab(y)}: comp(y)={lab(cp[y])} not below comp(x)={lab(cp[x])}"
             for x in rng for y in rng if jn[x][y] == y and jn[cp[y]][cp[x]] != cp[x]
         )),
@@ -284,11 +316,11 @@ def validate_ortholattice(L: OrtholatticeTable) -> CheckReport:
         first_failure("complement-meet", (
             f"x={lab(x)}: x ^ comp(x)={lab(mt[x][cp[x]])}" for x in rng if mt[x][cp[x]] != L.bot
         )),
-        first_failure("de-morgan-join", (
+        _law("de-morgan-join", all(jr[x](cp) == flip(mt[cp[x]]) for x in rng), (
             f"x={lab(x)} y={lab(y)}"
             for x in rng for y in rng if cp[jn[x][y]] != mt[cp[x]][cp[y]]
         )),
-        first_failure("de-morgan-meet", (
+        _law("de-morgan-meet", all(mr[x](cp) == flip(jn[cp[x]]) for x in rng), (
             f"x={lab(x)} y={lab(y)}"
             for x in rng for y in rng if cp[mt[x][y]] != jn[cp[x]][cp[y]]
         )),
@@ -497,25 +529,52 @@ def interval_meets(up, down, intervals) -> list[dict[int, list[int | None]]]:
     return meets
 
 
+def _de_morgan_meets_are_glbs(jn: Table, up, down, intervals, cmaps) -> bool:
+    """Whether in every [p, 1] the De Morgan meet m = w(w(a) v w(b)) of a and of each b from a on,
+    in the interval's order, is a greatest element of the lower bounds up[p] & down[a] & down[b]:
+    one of them, with all of them in down[m]."""
+    for low, members, w in zip(up, intervals, cmaps):
+        for i, a in enumerate(members):
+            row, low_a = jn[w[a]], low & down[a]
+            for b in members[i:]:
+                m = w[row[w[b]]]
+                bounds = low_a & down[b]
+                if m is None or not bounds >> m & 1 or bounds & ~down[m]:
+                    return False
+    return True
+
+
 def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     """Check the semilattice laws, the top, and every interval witness.
 
     Each interval [p, 1] must be a lattice under the induced order, the
     witness must be an orthocomplementation of it, and its De Morgan meet
     (comp(a) v comp(b)) complemented must agree with the order-theoretic meet.
-    The order meets of each interval are tabulated once and shared by the
-    checks that read them.
+
+    The join laws are decided as in `validate_ortholattice`, the witness
+    domains by comparing which entries of each map are set with the row of
+    p in the order.  The interval laws are decided by one pass over the
+    pairs of each interval (`_de_morgan_meets_are_glbs`): where every De
+    Morgan meet is a greatest lower bound, every interval is a lattice.  A commutative join makes the
+    order antisymmetric, so each De Morgan meet is then the order meet, and
+    the complement-meet law reads it at (a, comp(a)).  An idempotent join
+    adds reflexivity, so the pair (a, a) gives the involution and the pair
+    of a <= b gives comp(b) <= comp(a): antitonicity.  The ordered scans,
+    on the order meets tabulated once by `interval_meets`, run only for the
+    laws these tests do not pass, to name the first counterexample.
     """
     n = S.n
     if n < 1 or len(S.join) != n or any(len(r) != n for r in S.join) or len(S.witnesses) != n:
         raise BadIndex("table shape", n)
     _check_tables(n, (S.join,), (), (S.top,))
-    jn = S.join
+    jn = tuple(map(tuple, S.join))
     lab = S.label
     rng = range(n)
     # a <= b when a v b = b, as in `le`
-    up, down = _up_down([[row[b] == b for b in rng] for row in jn])
-    intervals = [tuple(a for a in rng if up[p] >> a & 1) for p in rng]
+    leq = [tuple(map(eq, row, rng)) for row in jn]
+    up, down = _up_down(leq)
+    intervals = [tuple(compress(rng, row)) for row in leq]
+    commutative = tuple(zip(*jn)) == jn
 
     def domain_fails():
         for p in rng:
@@ -535,18 +594,31 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
                 return
 
     checks = (
-        first_failure("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
-        _associative("join-associative", jn, lab),
+        _law("join-commutative", commutative,
+             (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
+        _associative("join-associative", jn, [_reader(row) for row in jn], lab),
         first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
         first_failure("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][S.top] != S.top)),
-        first_failure("witness-domains", domain_fails()),
+        _law("witness-domains", all(
+            w.p == p and tuple(map(is_not, w.cmap, repeat(None))) == row
+            and set(intervals[p]).issuperset(compress(w.cmap, row))
+            for p, (w, row) in enumerate(zip(S.witnesses, leq))
+        ), domain_fails()),
     )
     if not checks[-1].passed:
         # the per-interval law checks below would just crash on a bad family
         return CheckReport(checks)
 
-    meets = interval_meets(up, down, intervals)
     cmaps = [S.witnesses[p].cmap for p in rng]
+    idempotent = checks[2].passed
+    glbs = _de_morgan_meets_are_glbs(jn, up, down, intervals, cmaps)
+    de_morgan = commutative and glbs
+    complement_meet = de_morgan and all(
+        w[jn[w[a]][w[w[a]]]] == p for p, w in enumerate(cmaps) for a in intervals[p]
+    )
+    # complement_meet implies the tests of the other two laws that read the
+    # order meets, so the meets are needed only where it fails
+    meets = [] if complement_meet else interval_meets(up, down, intervals)
 
     def lattice_fails():
         for p in rng:
@@ -572,7 +644,7 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
             f"p={lab(p)} a={lab(a)}"
             for p in rng for a in intervals[p] if cmaps[p][cmaps[p][a]] != a
         )),
-        first_failure("witness-antitone", (
+        _law("witness-antitone", de_morgan and idempotent, (
             f"p={lab(p)} a={lab(a)} b={lab(b)}"
             for p in rng
             for a in intervals[p]
@@ -583,9 +655,9 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
             f"p={lab(p)} a={lab(a)}"
             for p in rng for a in intervals[p] if jn[a][cmaps[p][a]] != S.top
         )),
-        first_failure("interval-lattice", lattice_fails()),
-        first_failure("interval-meet-de-morgan", demorgan_fails()),
-        first_failure("complement-meet", (
+        _law("interval-lattice", glbs, lattice_fails()),
+        _law("interval-meet-de-morgan", de_morgan, demorgan_fails()),
+        _law("complement-meet", complement_meet, (
             f"p={lab(p)} a={lab(a)}"
             for p in rng for a in intervals[p] if meets[p][a][cmaps[p][a]] != p
         )),

@@ -24,11 +24,12 @@ from orthokit.core import (
     lattice_from_order,
     validate_orthosemilattice,
 )
-from orthokit.errors import NoBottom, NoJoin, NoMeet, NoTop, NotAJoin
-from orthokit.implication import ImplicationTable, induced_join, induced_order
-from orthokit.report import Check, first_failure
+from orthokit.errors import NoBottom, NoJoin, NoMeet, NoTop
+from orthokit.implication import ImplicationTable, induced_join
+from orthokit.report import first_failure
 
 from oracles import closure_from_covers, naive_interval_glb, naive_least, naive_lub
+from validator_oracles import naive_induced_join, naive_validate_orthosemilattice
 
 SEMILATTICES = ("chain2", "bool4", "bool8", "mo2", "fig2_strong12", "fig2_filter_no0")
 REDUCTS = [e for e in catalog() if e.kind == "implication"]
@@ -62,17 +63,6 @@ def naive_lattice_from_order(leq):
             if meet[i][j] is None:
                 raise NoMeet(i, j)
     return tuple(map(tuple, join)), tuple(map(tuple, meet)), bots[0], tops[0]
-
-
-def naive_induced_join(T):
-    """(x*y)*y checked against the naive lub of the induced order, raising as induced_join does."""
-    leq = induced_order(T).leq
-    join = tuple(tuple(T.bullet[T.bullet[x][y]][y] for y in range(T.n)) for x in range(T.n))
-    for x in range(T.n):
-        for y in range(T.n):
-            if naive_lub(leq, x, y) != join[x][y]:
-                raise NotAJoin(x, y)
-    return join
 
 
 @st.composite
@@ -183,45 +173,6 @@ def test_interval_meets_equal_the_naive_glb_on_join_mutants():
                     assert_interval_meets_are_naive(dataclasses.replace(S, join=tuple(rows)))
 
 
-def naive_orthosemilattice_checks(S):
-    """The checks of validate_orthosemilattice after the witness domains, by plain loops over
-    every tuple and naive_interval_glb, with the same details."""
-    jn, lab, rng = S.join, S.label, range(S.n)
-    leq = [[jn[x][y] == y for y in rng] for x in rng]
-    members = [[a for a in rng if leq[p][a]] for p in rng]
-    w = [S.witnesses[p].cmap for p in rng]
-
-    def glb(p, a, b):
-        return naive_interval_glb(leq, members[p], a, b)
-
-    return (
-        first_failure("join-commutative", (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
-        first_failure("join-associative", (
-            f"x={lab(x)} y={lab(y)} z={lab(z)}"
-            for x in rng for y in rng for z in rng if jn[jn[x][y]][z] != jn[x][jn[y][z]]
-        )),
-        first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
-        first_failure("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][S.top] != S.top)),
-        Check("witness-domains", True),
-        first_failure("witness-involution", (f"p={lab(p)} a={lab(a)}" for p in rng for a in members[p] if w[p][w[p][a]] != a)),
-        first_failure("witness-antitone", (
-            f"p={lab(p)} a={lab(a)} b={lab(b)}"
-            for p in rng for a in members[p] for b in members[p] if leq[a][b] and not leq[w[p][b]][w[p][a]]
-        )),
-        first_failure("complement-join", (f"p={lab(p)} a={lab(a)}" for p in rng for a in members[p] if jn[a][w[p][a]] != S.top)),
-        first_failure("interval-lattice", (
-            f"p={lab(p)}: {lab(a)} and {lab(b)} have no meet in the interval"
-            for p in rng for a in members[p] for b in members[p] if glb(p, a, b) is None
-        )),
-        first_failure("interval-meet-de-morgan", (
-            f"p={lab(p)} a={lab(a)} b={lab(b)}: De Morgan meet {lab(w[p][jn[w[p][a]][w[p][b]]])}, "
-            f"order meet {glb(p, a, b)}"
-            for p in rng for a in members[p] for b in members[p] if w[p][jn[w[p][a]][w[p][b]]] != glb(p, a, b)
-        )),
-        first_failure("complement-meet", (f"p={lab(p)} a={lab(a)}" for p in rng for a in members[p] if glb(p, a, w[p][a]) != p)),
-    )
-
-
 def naive_overlap(S):
     """The report of check_overlap_consistency, by plain loops."""
     jn, lab, rng = S.join, S.label, range(S.n)
@@ -274,5 +225,5 @@ def witnessed_join_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(S=witnessed_join_tables())
 def test_validator_and_overlap_details_match_plain_loops_on_witnessed_tables(S):
-    assert checks_of(validate_orthosemilattice, S) == checks_of(naive_orthosemilattice_checks, S)
+    assert checks_of(validate_orthosemilattice, S) == checks_of(naive_validate_orthosemilattice, S)
     assert checks_of(check_overlap_consistency, S) == checks_of(naive_overlap, S)
