@@ -8,16 +8,16 @@ Boolean 2^k comes from `perfbench/families.py`.  Every time is the best of
 t1..t6.  `kernel_rules` is `theta_from_kernel` (D1, D2, the relation and
 its checks) on the kernel of every congruence that `congruence_lattice`
 finds, the kernels found before the clock starts.  An `ImplicationTable`
-keeps its identity report, induced join and brute-force congruences once
-decided, so each rep runs on fresh copies of the tables
+keeps its identity report, induced order, induced join and brute-force
+congruences once decided, so each rep runs on fresh copies of the tables
 (`dataclasses.replace`, made before the clock starts) and times the
 decisions, not lookups of kept facts.  The `closures` column counts the
 principal congruences that one run of `congruence_lattice` closes (on every
 filter, in `--families`), by wrapping `congruence.principal_congruence` here;
 like `products` below it does not move with the host's speed.  The
 `decided` column of `--families` runs `workloads._pipeline` once on every
-model of the pass and counts the identity reports, induced joins and
-brute-force searches it actually decides, by wrapping the functions behind
+model of the pass and counts the identity reports, induced orders, induced
+joins and brute-force searches it actually decides, by wrapping the functions behind
 the kept facts here.
 
 `--catalog` prints one line per catalog reduct with the term work of
@@ -142,8 +142,8 @@ def closures(f):
 
 def decided(models):
     """Facts an `ImplicationTable` keeps, decided over one `workloads._pipeline` run of every model."""
-    facts = {"identities": imp.check_ioa_identities, "induced_join": imp.induced_join,
-             "bruteforce": cong._congruences_bruteforce}
+    facts = {"identities": imp.check_ioa_identities, "induced_order": imp.induced_order,
+             "induced_join": imp.induced_join, "bruteforce": cong._congruences_bruteforce}
     calls = {key: [0] for key in facts}
     real = {key: fact.__wrapped__ for key, fact in facts.items()}
     for key, fact in facts.items():
@@ -165,12 +165,12 @@ def catalog_reducts(reps):
             continue
         T = e.payload
         kernels = {cong.kernel(T, P).members for P in cong.congruence_lattice(T)}
-        ordered = sorted(kernels, key=lambda k: (len(k), sorted(k)))
+        ordered = verify._kernel_order(kernels)
         above = [K for K in ordered if K != {T.one}]
         rand = terms.random_ideal_terms(T, verify.RANDOM_TERM_COUNT, seed=0)
         sweep = T.n <= verify.SWEEP_LIMIT
         subsets = list(cong.subsets_with_one(T)) if sweep else ordered
-        closed = {name: terms.closed_subsets(T, subsets, t) for name, t in terms.builtin_terms().items()}
+        closed = verify._builtin_verdicts(T, subsets)
         work = {
             "t1_t6_closure_s": lambda: [terms.closed_subsets(T, subsets, t) for t in T1_T6],
             "random_ideal_terms_s": lambda: terms.random_ideal_terms(T, verify.RANDOM_TERM_COUNT, seed=0),

@@ -188,15 +188,12 @@ def cmd_ideals(args) -> list[str | Check]:
         out.append(f"info ideal: {'yes' if terms_verdict.ok else 'no'}")
 
     if args.enumerate:
-        kernels = sorted(
-            (cong.kernel(T, P).members for P in cong.congruence_lattice(T)),
-            key=lambda k: (len(k), sorted(k)),
-        )
+        kernels = verify._kernel_order(cong.kernel(T, P).members for P in cong.congruence_lattice(T))
         for i, K in enumerate(kernels):
             out.append(f"ideal {i}: {_fmt_set(T, K)}")
         if T.n <= verify.SWEEP_LIMIT:
             subsets = list(cong.subsets_with_one(T))
-            closed = [tms.closed_subsets(T, subsets, term) for term in tms.builtin_terms().values()]
+            closed = verify._builtin_verdicts(T, subsets).values()
             swept = [D for D, *oks in zip(subsets, *closed) if all(oks)]
             out.append(Check("ideals-match-kernels", set(swept) == set(kernels),
                              f"swept={len(swept)} kernels={len(kernels)}"))

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
 
-from .core import _cover_pairs
+from .core import _Built, _cover_pairs
 from .errors import BadIndex, InconsistentTable, MissingOne, NotAJoin, NotAnOrder, NotD1, NotD2, TooLarge
-from .implication import ImplicationTable, _columns, _table_fact, induced_join
+from .implication import ImplicationTable, _columns, _readers, _table_fact, induced_join, induced_order
 from .report import Verdict
 
 BRUTE_FORCE_LIMIT = 10  # Bell(10) = 115975 partitions
@@ -294,7 +293,7 @@ def congruence_lattice(T: ImplicationTable) -> list[Partition]:
     try:
         induced_join(T)
         # Θ(a, d) = Θ(1, d*a) for a cover a < d, so one closure per distinct d*a
-        covers = _cover_pairs([[v == T.one for v in row] for row in T.bullet])
+        covers = _cover_pairs(induced_order(T).leq)
         generators = dict.fromkeys((T.one, T.bullet[d][a]) for a, d in covers)
     except (NotAnOrder, NotAJoin):
         generators = combinations(range(n), 2)
@@ -346,36 +345,14 @@ def subsets_with_one(T: ImplicationTable):
             yield frozenset(picked) | {T.one}
 
 
-def _bits(lines, has) -> list[int]:
-    """One bitset per line: bit 8i is set iff has(line[i])."""
-    return [int.from_bytes(bytes(map(has, line)), "little") for line in lines]
-
-
-class _LazyBits(dict):
-    """The `_bits` of lines, each built on its first read: bits[x] is the bitset of lines[x]."""
-
-    def __init__(self, lines, has):
-        super().__init__()
-        self.lines, self.has = lines, has
-
-    def __missing__(self, x: int) -> int:
-        bits = self[x] = int.from_bytes(bytes(map(self.has, self.lines[x])), "little")
-        return bits
+def _bitset(line, has) -> int:
+    """The line's bitset: bit 8i is set iff has(line[i])."""
+    return int.from_bytes(bytes(map(has, line)), "little")
 
 
 def _lowest(bits: int) -> int:
-    """The index i of the least set bit 8i of a nonzero `_bits` bitset."""
+    """The index i of the least set bit 8i of a nonzero `_bitset`."""
     return ((bits & -bits).bit_length() - 1) >> 3
-
-
-@_table_fact
-def _readers(T: ImplicationTable) -> tuple[tuple[itemgetter, ...], tuple[itemgetter, ...]]:
-    """For each row x and each column x, the getter reading a sequence s at the line's entries.
-
-    The row getter maps s to (s[x*0], s[x*1], ...) and the column getter
-    to (s[0*x], s[1*x], ...).
-    """
-    return tuple(itemgetter(*row) for row in T.bullet), tuple(itemgetter(*col) for col in _columns(T))
 
 
 def _read_alike(readers, rep) -> bool:
@@ -398,7 +375,7 @@ def _members(T: ImplicationTable, D) -> frozenset[int]:
 def _line_bits(T: ImplicationTable, members: frozenset[int]) -> tuple[list[int], list[int]]:
     """Bitsets of D along the table: bit 8z of rows[x] is x*z in D, bit 8z of cols[x] is z*x in D."""
     has = members.__contains__
-    return _bits(T.bullet, has), _bits(_columns(T), has)
+    return [_bitset(row, has) for row in T.bullet], [_bitset(col, has) for col in _columns(T)]
 
 
 def _theta(rows: list[int], cols: list[int]) -> tuple[tuple[int, ...], bool]:
@@ -459,8 +436,9 @@ def _d2_witness(T: ImplicationTable, members, rep, equivalence: bool, right: boo
 
 def check_d1(T: ImplicationTable, D) -> Verdict:
     """x in D and y*z in D imply (x*y)*z in D; witness is (x, y, z)."""
-    members = _members(T, D)
-    w = _d1_failure(T, members, _LazyBits(T.bullet, members.__contains__))
+    members, B = _members(T, D), T.bullet
+    # each row's bitset is built on its first read, so a subset that fails early builds few
+    w = _d1_failure(T, members, _Built(lambda y: _bitset(B[y], members.__contains__)))
     return Verdict(w is None, w)
 
 

@@ -242,6 +242,17 @@ def _check_tables(n: int, tables, maps, elements) -> None:
         raise BadIndex("table entry", n)
 
 
+class _Built(dict):
+    """A dict that builds a missing value as build(key) and keeps it."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(key)
+        return value
+
+
 def _reader(row):
     """itemgetter(*row), mapping s to (s[row[0]], s[row[1]], ...): a tuple also when row has one entry."""
     if len(row) == 1:

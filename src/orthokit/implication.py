@@ -161,8 +161,10 @@ def check_ioa_identities(T: ImplicationTable) -> CheckReport:
     return CheckReport(checks)
 
 
+@_table_fact
 def induced_order(T: ImplicationTable) -> PosetTable:
-    """The relation x <= y iff x*y = 1, verified to be an order with greatest element."""
+    """The relation x <= y iff x*y = 1, verified to be an order with greatest element,
+    once per table object."""
     _check_tables(T.n, (T.bullet,), (), (T.one,))
     n, B, one = T.n, T.bullet, T.one
     leq = tuple(tuple(map(eq, row, repeat(one))) for row in B)
@@ -180,6 +182,16 @@ def induced_order(T: ImplicationTable) -> PosetTable:
 def _columns(T: ImplicationTable) -> Table:
     """The table's columns, once per table object: _columns(T)[y][x] = x*y."""
     return tuple(zip(*T.bullet))
+
+
+@_table_fact
+def _readers(T: ImplicationTable) -> tuple[tuple, tuple]:
+    """For each row x and each column x, the `_reader` of the line's entries, once per table object.
+
+    The row getter maps s to (s[x*0], s[x*1], ...) and the column getter
+    to (s[0*x], s[1*x], ...), a tuple also when n = 1.
+    """
+    return tuple(map(_reader, T.bullet)), tuple(map(_reader, _columns(T)))
 
 
 def _is_lub_table(join: Table, up) -> bool:
@@ -204,7 +216,7 @@ def induced_join(T: ImplicationTable) -> Table:
     """
     n = T.n
     up, _ = _up_down(induced_order(T).leq)
-    join = tuple(zip(*(_reader(col)(col) for col in _columns(T))))
+    join = tuple(zip(*(get(col) for get, col in zip(_readers(T)[1], _columns(T)))))
     if join != tuple(zip(*join)) or not _is_lub_table(join, up):
         lub = [[None] * n for _ in range(n)]
         for x in range(n):
@@ -241,11 +253,11 @@ def reconstruct_orthosemilattice(T: ImplicationTable) -> OrthosemilatticeTable:
     report = check_ioa_identities(T)
     if not report.ok:
         raise NotImplicationAlgebra(report)
-    n, B = T.n, T.bullet
+    n, cols, leq = T.n, _columns(T), induced_order(T).leq
     join = induced_join(T)
     witnesses = []
     for p in range(n):
-        cmap = tuple(B[a][p] if B[p][a] == T.one else None for a in range(n))
+        cmap = tuple(ap if up else None for ap, up in zip(cols[p], leq[p]))
         witnesses.append(IntervalWitness(p=p, cmap=cmap))
     S = OrthosemilatticeTable(n=n, join=join, top=T.one, witnesses=tuple(witnesses), names=T.names)
     report = validate_orthosemilattice(S)

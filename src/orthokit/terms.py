@@ -40,11 +40,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, islice, repeat
-from operator import itemgetter
 
 from .congruence import KernelSet, _d2_failure, check_d1, check_d2, congruence_closure, kernel
+from .core import _Built
 from .errors import ArityMismatch, ParseError, TooLarge
-from .implication import ImplicationTable
+from .implication import ImplicationTable, _columns
 from .report import Check, CheckReport, Verdict
 
 # Assignments an exhaustive term scan may visit; larger scans raise TooLarge up front.
@@ -166,7 +166,7 @@ def _tabulate(T: ImplicationTable, term: Term, ydomain) -> tuple[tuple[int, ...]
     n, B = T.n, T.bullet
     size = [n] * term.xarity + [len(ydomain)] * term.yarity
     row = _Built(lambda l: bytes(B[l]).ljust(256, b"\0"))
-    col = _Built(lambda r: bytes(map(itemgetter(r), B)).ljust(256, b"\0"))
+    col = _Built(lambda r: bytes(_columns(T)[r]).ljust(256, b"\0"))
     pair = b""
 
     def absorbs(right):
@@ -193,17 +193,6 @@ def _tabulate(T: ImplicationTable, term: Term, ydomain) -> tuple[tuple[int, ...]
     carrier, yvals = bytes(range(n)), bytes(ydomain)
     return _fold(term.root, ((), bytes((T.one,))), lambda i: ((i,) if n > 1 else (), carrier),
                  lambda j: ((term.xarity + j,) if len(yvals) > 1 else (), yvals), bullet, absorbs)
-
-
-class _Built(dict):
-    """A dict that builds a missing value as build(key) and keeps it."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, key):
-        self[key] = value = self.build(key)
-        return value
 
 
 def _folded(vs, values: bytes) -> tuple[tuple[int, ...], bytes]:
@@ -459,14 +448,8 @@ def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:
     most once.
     """
     members = frozenset(I)
-    verdicts: dict[str, bool] = {}
-
-    def closed(name: str) -> bool:
-        if name not in verdicts:
-            verdicts[name] = closed_under_term(T, members, _BUILTIN_TERMS[name]).ok
-        return verdicts[name]
-
-    return _lemma_chain(T, members, closed, lambda: check_d1(T, members).ok,
+    closed = _Built(lambda name: closed_under_term(T, members, _BUILTIN_TERMS[name]).ok)
+    return _lemma_chain(T, members, closed.__getitem__, lambda: check_d1(T, members).ok,
                         cache(lambda: check_d2(T, members).ok))
 
 

@@ -91,18 +91,28 @@ def _boolean_reduct_check(name: str, L, T) -> Check:
     return Check(f"{name}: reduct is comp(x) v y", ok)
 
 
-def _semilattice_checks(name: str, S) -> list[Check]:
+def _semilattice_checks(name: str, S, T) -> list[Check]:
+    """The checks of an orthosemilattice S and of T, its reduct `derive_bullet(S)`."""
     checks = [
         Check(f"{name}: orthosemilattice-axioms", validate_orthosemilattice(S).ok),
         Check(f"{name}: overlapping interval meets agree", check_overlap_consistency(S).ok),
     ]
-    T = derive_bullet(S)
     rep = check_ioa_identities(T)
     checks.append(Check(f"{name}: reduct satisfies the defining identities", rep.ok,
                         "" if rep.ok else ", ".join(c.name for c in rep.failures())))
     if rep.ok:
         checks.append(Check(f"{name}: reconstruct(derive(S)) = S", reconstruct_orthosemilattice(T) == S))
     return checks
+
+
+def _kernel_order(kernels) -> list[frozenset[int]]:
+    """The kernels by size, then by their sorted members."""
+    return sorted(kernels, key=lambda k: (len(k), sorted(k)))
+
+
+def _builtin_verdicts(T, subsets) -> dict[str, tuple[bool, ...]]:
+    """Each of t1..t6 mapped to its `closed_subsets` verdicts over the subsets, in their order."""
+    return {t: tms.closed_subsets(T, subsets, term) for t, term in tms.builtin_terms().items()}
 
 
 def _reduct_checks(name: str, T, seed: int) -> list[Check]:
@@ -136,18 +146,17 @@ def _reduct_checks(name: str, T, seed: int) -> list[Check]:
              for P in lattice if (v := cong.congruence_violation(T, P)) is not None),
         ))
 
-    builtins = tms.builtin_terms()
     checks.append(first_failure(
         f"{name}: t1..t6 are ideal terms",
         (f"{t} fails at x-assignment {v.witness}"
-         for t, term in builtins.items() if not (v := tms.is_ideal_term(T, term))),
+         for t, term in tms.builtin_terms().items() if not (v := tms.is_ideal_term(T, term))),
     ))
 
-    ordered = sorted(kernels, key=lambda k: (len(k), sorted(k)))
+    ordered = _kernel_order(kernels)
     # where the subset sweep runs, its t1..t6 verdicts over every subset also answer the kernels
     sweep = T.n <= SWEEP_LIMIT
     subsets = list(cong.subsets_with_one(T)) if sweep else ordered
-    closed = {t: tms.closed_subsets(T, subsets, term) for t, term in builtins.items()}
+    closed = _builtin_verdicts(T, subsets)
     at = {D: i for i, D in enumerate(subsets)}
     checks.append(first_failure(
         f"{name}: every kernel closed under t1..t6",
@@ -179,7 +188,7 @@ def _subset_sweep_checks(name: str, T, kernels: set[frozenset[int]], closed=None
     """
     subsets = list(cong.subsets_with_one(T))
     if closed is None:
-        closed = {t: tms.closed_subsets(T, subsets, term) for t, term in tms.builtin_terms().items()}
+        closed = _builtin_verdicts(T, subsets)
     d1 = [cong.check_d1(T, D).ok for D in subsets]
 
     @cache
@@ -218,12 +227,13 @@ def entry_checks(entry: cat.CatalogEntry, seed: int = 0) -> list[Check]:
         checks = _ortholattice_checks(entry.name, L, strong)
         if strong:
             S = as_orthosemilattice(L, strong.witnesses)
-            checks.extend(_semilattice_checks(entry.name, S))
+            T = derive_bullet(S)
+            checks.extend(_semilattice_checks(entry.name, S, T))
             if entry.name in ("bool4", "bool8"):
-                checks.append(_boolean_reduct_check(entry.name, L, derive_bullet(S)))
+                checks.append(_boolean_reduct_check(entry.name, L, T))
         return checks
     if entry.kind == "orthosemilattice":
-        return _semilattice_checks(entry.name, entry.payload)
+        return _semilattice_checks(entry.name, entry.payload, derive_bullet(entry.payload))
     return _reduct_checks(entry.name, entry.payload, seed)
 
 

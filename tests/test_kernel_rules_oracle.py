@@ -3,7 +3,8 @@
 `check_d1`, `check_d2`, each D2 half, `congruence_violation` and
 `theta_from_kernel` must give exactly what the scans of `tests/oracles.py`
 give, exception type and witness included.  The inputs are every subset
-containing 1 of the catalog reducts with n <= 8; the kernels and seeded
+containing 1 of the catalog reducts with n <= 8 and of the one-element
+reduct, whose row and column getters read one entry; the kernels and seeded
 random subsets of the families filters at seeds 0 and 1 (n <= 16); seeded
 random partitions; and the single-entry corruptions of bool4_reduct and
 fig2_reduct, where θ_D can fail to be an equivalence or to be compatible.
@@ -70,8 +71,12 @@ def kernels(T):
     return [cong.kernel(T, P).members for P in cong.congruence_lattice(T)]
 
 
+ONE_ELEMENT = ImplicationTable(1, ((0,),), 0)
+
+
 @pytest.mark.parametrize("T", [pytest.param(e.payload, id=e.name) for e in catalog()
-                               if e.kind == "implication" and e.payload.n <= 8])
+                               if e.kind == "implication" and e.payload.n <= 8]
+                         + [pytest.param(ONE_ELEMENT, id="one-element")])
 def test_every_subset_of_a_small_catalog_reduct(T):
     for D in subsets_containing(T.n, T.one):
         assert_rules_match(T, D)
@@ -91,6 +96,7 @@ def test_kernels_and_random_subsets_of_the_families_filters(seed):
 def test_random_partitions(seed):
     rng = random.Random(seed)
     tables = [e.payload for e in catalog() if e.kind == "implication"] + families_filters(seed)[::4]
+    tables.append(ONE_ELEMENT)
     for T in tables:
         for P in cong.congruence_lattice(T) + [random_partition(T.n, rng) for _ in range(8)]:
             assert cong.congruence_violation(T, P) == naive_congruence_violation(T, P)

@@ -1,6 +1,7 @@
-"""An implication table's identity report, induced join and brute-force congruences are decided once.
+"""An implication table's identity report, induced order, induced join and brute-force congruences
+are decided once.
 
-The three facts are kept on the table object: the first call decides, later
+The four facts are kept on the table object: the first call decides, later
 calls on the same object return what it decided, and a value-equal copy
 decides afresh.  Exceptions are not kept, the brute-force list handed out is
 a fresh one each time, and what a table keeps changes neither its ==, its
@@ -28,6 +29,7 @@ import workloads  # noqa: E402
 
 FACTS = {
     "identities": imp.check_ioa_identities,
+    "induced_order": imp.induced_order,
     "induced_join": imp.induced_join,
     "bruteforce": cong._congruences_bruteforce,
 }
@@ -84,12 +86,14 @@ def test_each_fact_is_decided_once_per_table_and_equals_a_fresh_decision(decisio
         pipeline(T)
         pipeline(T)
     small = [T for T in tables if T.n <= cong.BRUTE_FORCE_LIMIT]
-    for key, expected in (("identities", tables), ("induced_join", tables), ("bruteforce", small)):
+    for key, expected in (("identities", tables), ("induced_order", tables), ("induced_join", tables),
+                          ("bruteforce", small)):
         counts = Counter(map(id, decisions[key]))
         assert len(decisions[key]) == len(expected) and counts == Counter(map(id, expected)), key
     for T in tables:
         fresh = dataclasses.replace(T)
         assert imp.check_ioa_identities(T) == imp.check_ioa_identities(fresh)
+        assert imp.induced_order(T) == imp.induced_order(fresh)
         assert imp.induced_join(T) == imp.induced_join(fresh)
         if T.n <= cong.BRUTE_FORCE_LIMIT:
             assert cong.all_congruences_bruteforce(T) == cong.all_congruences_bruteforce(fresh)
@@ -98,9 +102,11 @@ def test_each_fact_is_decided_once_per_table_and_equals_a_fresh_decision(decisio
 def test_a_kept_report_is_the_same_object_and_a_copy_decides_again(decisions):
     T = dataclasses.replace(entry("mo2_reduct").payload)
     assert imp.check_ioa_identities(T) is imp.check_ioa_identities(T)
+    assert imp.induced_order(T) is imp.induced_order(T)
     assert imp.induced_join(T) is imp.induced_join(T)
     assert imp.check_ioa_identities(dataclasses.replace(T)) == imp.check_ioa_identities(T)
-    assert len(decisions["identities"]) == 2 and len(decisions["induced_join"]) == 1
+    assert len(decisions["identities"]) == 2
+    assert len(decisions["induced_order"]) == len(decisions["induced_join"]) == 1
 
 
 def test_value_equal_tables_keep_their_own_labels():
@@ -119,9 +125,12 @@ def test_value_equal_tables_keep_their_own_labels():
     ("induced_join", imp.induced_join, ANTICHAIN, NotAJoin),
     ("induced_join", imp.induced_join, SYMMETRIC, NotAnOrder),
     ("induced_join", imp.induced_join, OUT_OF_RANGE, BadIndex),
+    ("induced_order", imp.induced_order, SYMMETRIC, NotAnOrder),
+    ("induced_order", imp.induced_order, OUT_OF_RANGE, BadIndex),
     ("identities", imp.check_ioa_identities, OUT_OF_RANGE, BadIndex),
     ("bruteforce", cong.all_congruences_bruteforce, entry("fig2_filter_no0_reduct").payload, TooLarge),
-], ids=["not-a-join", "not-an-order", "bad-index-join", "bad-index-identities", "too-large-n11"])
+], ids=["not-a-join", "not-an-order", "bad-index-join", "order-not-an-order", "bad-index-order",
+        "bad-index-identities", "too-large-n11"])
 def test_an_exception_is_raised_again_on_every_call(decisions, key, call, T, error):
     T = dataclasses.replace(T)
     for _ in range(3):
