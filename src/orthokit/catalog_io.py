@@ -165,6 +165,8 @@ def parse_ioa(text: str) -> ImplicationTable:
     for lineno, toks in body:
         key = toks[0]
         if key == "one":
+            if one is not None:
+                raise ParseError("duplicate one line", lineno)
             if len(toks) != 2:
                 raise ParseError("usage: one <i>", lineno)
             one = _index(toks[1], n, lineno)

@@ -361,12 +361,18 @@ def _read_alike(readers, rep) -> bool:
     return list(map(read.__getitem__, rep)) == read
 
 
-def _members(T: ImplicationTable, D) -> frozenset[int]:
-    """D as a frozenset, once its members are known to be elements and 1 to be one of them."""
+def _in_carrier(T: ImplicationTable, D) -> frozenset[int]:
+    """D as a frozenset, once its members are known to be elements; BadIndex names the least that is not."""
     members = frozenset(D)
     carrier = range(T.n)
     if not all(map(carrier.__contains__, members)):
         raise BadIndex(min(x for x in members if x not in carrier), T.n)
+    return members
+
+
+def _members(T: ImplicationTable, D) -> frozenset[int]:
+    """D as a frozenset, once its members are known to be elements and 1 to be one of them."""
+    members = _in_carrier(T, D)
     if T.one not in members:
         raise MissingOne()
     return members

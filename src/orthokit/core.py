@@ -520,26 +520,6 @@ def order_filter_to_orthosemilattice(L: OrtholatticeTable, members) -> Orthosemi
     return restrict_to_filter(as_orthosemilattice(L), members)
 
 
-def interval_meets(up, down, intervals) -> list[dict[int, list[int | None]]]:
-    """meets[p][a][b]: the greatest lower bound of a and b inside [p, 1], or None.
-
-    up and down are the up-set and down-set bitsets of the order, intervals[p]
-    the members of [p, 1].  Rows exist for the a in [p, 1] and entries for
-    the b in [p, 1].  Each entry is one bound scan over the down-sets; (b, a)
-    copies (a, b).
-    """
-    meets = []
-    for p, members in enumerate(intervals):
-        rows: dict[int, list[int | None]] = {}
-        for a in members:
-            row = rows[a] = [None] * len(up)
-            low = up[p] & down[a]
-            for b in members:
-                row[b] = rows[b][a] if b < a else _least(low & down[b], down)
-        meets.append(rows)
-    return meets
-
-
 def _de_morgan_meets_are_glbs(jn: Table, up, down, intervals, cmaps) -> bool:
     """Whether in every [p, 1] the De Morgan meet m = w(w(a) v w(b)) of a and of each b from a on,
     in the interval's order, is a greatest element of the lower bounds up[p] & down[a] & down[b]:
@@ -570,9 +550,10 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     order antisymmetric, so each De Morgan meet is then the order meet, and
     the complement-meet law reads it at (a, comp(a)).  An idempotent join
     adds reflexivity, so the pair (a, a) gives the involution and the pair
-    of a <= b gives comp(b) <= comp(a): antitonicity.  The ordered scans,
-    on the order meets tabulated once by `interval_meets`, run only for the
-    laws these tests do not pass, to name the first counterexample.
+    of a <= b gives comp(b) <= comp(a): antitonicity.  The ordered scans
+    run only for the laws these tests do not pass, to name the first
+    counterexample; each finds the order meet of the pair it names by one
+    bound scan (`_least`).
     """
     n = S.n
     if n < 1 or len(S.join) != n or any(len(r) != n for r in S.join) or len(S.witnesses) != n:
@@ -592,17 +573,13 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
             w = S.witnesses[p]
             if w.p != p:
                 yield f"witness stored at {lab(p)} claims p={lab(w.p)}"
-                return
             if len(w.cmap) != n:
                 yield f"p={lab(p)}: cmap length {len(w.cmap)}"
-                return
             members = intervals[p]
             if w.domain() != members:
                 yield f"p={lab(p)}: domain {w.domain()} != interval {members}"
-                return
             if any(w.cmap[a] not in members for a in members):
                 yield f"p={lab(p)}: image leaves the interval"
-                return
 
     checks = (
         _law("join-commutative", commutative,
@@ -627,17 +604,16 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     complement_meet = de_morgan and all(
         w[jn[w[a]][w[w[a]]]] == p for p, w in enumerate(cmaps) for a in intervals[p]
     )
-    # complement_meet implies the tests of the other two laws that read the
-    # order meets, so the meets are needed only where it fails
-    meets = [] if complement_meet else interval_meets(up, down, intervals)
+
+    def meet(p, a, b):
+        return _least(up[p] & down[a] & down[b], down)
 
     def lattice_fails():
         for p in rng:
             for a in intervals[p]:
                 for b in intervals[p]:
-                    if meets[p][a][b] is None:
+                    if meet(p, a, b) is None:
                         yield f"p={lab(p)}: {lab(a)} and {lab(b)} have no meet in the interval"
-                        return
 
     def demorgan_fails():
         for p in rng:
@@ -645,10 +621,9 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
             for a in intervals[p]:
                 for b in intervals[p]:
                     got = w[jn[w[a]][w[b]]]
-                    want = meets[p][a][b]
+                    want = meet(p, a, b)
                     if got != want:
                         yield f"p={lab(p)} a={lab(a)} b={lab(b)}: De Morgan meet {lab(got)}, order meet {want}"
-                        return
 
     checks += (
         first_failure("witness-involution", (
@@ -670,7 +645,7 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
         _law("interval-meet-de-morgan", de_morgan, demorgan_fails()),
         _law("complement-meet", complement_meet, (
             f"p={lab(p)} a={lab(a)}"
-            for p in rng for a in intervals[p] if meets[p][a][cmaps[p][a]] != p
+            for p in rng for a in intervals[p] if meet(p, a, cmaps[p][a]) != p
         )),
     )
     return CheckReport(checks)
@@ -697,6 +672,5 @@ def check_overlap_consistency(S: OrthosemilatticeTable) -> CheckReport:
                                 f"p={lab(p)} q={lab(q)} a={lab(a)} b={lab(b)}: "
                                 f"meet {lab(in_p)} in [p,1] vs {lab(in_q)} in [q,1]"
                             )
-                            return
 
     return CheckReport((first_failure("overlap-meets", fails()),))

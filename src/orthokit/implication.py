@@ -218,11 +218,9 @@ def induced_join(T: ImplicationTable) -> Table:
     up, _ = _up_down(induced_order(T).leq)
     join = tuple(zip(*(get(col) for get, col in zip(_readers(T)[1], _columns(T)))))
     if join != tuple(zip(*join)) or not _is_lub_table(join, up):
-        lub = [[None] * n for _ in range(n)]
         for x in range(n):
             for y in range(n):
-                lub[x][y] = lub[y][x] if y < x else _least(up[x] & up[y], up)
-                if lub[x][y] != join[x][y]:
+                if _least(up[x] & up[y], up) != join[x][y]:
                     raise NotAJoin(x, y)
     return join
 

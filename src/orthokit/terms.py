@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, islice, repeat
 
-from .congruence import KernelSet, _d2_failure, check_d1, check_d2, congruence_closure, kernel
+from .congruence import KernelSet, _d2_failure, _in_carrier, check_d1, check_d2, congruence_closure, kernel
 from .core import _Built
 from .errors import ArityMismatch, ParseError, TooLarge
 from .implication import ImplicationTable, _columns
@@ -360,9 +360,10 @@ def closed_under_term(T: ImplicationTable, I, term: Term) -> Verdict:
     """Exhaustive closure check: x-values from the carrier, y-values from I.
 
     Decided on the root's value table.  Witness of failure is the first
-    (xs, ys, value) in `product` order.
+    (xs, ys, value) in `product` order.  A member outside the carrier raises
+    BadIndex.
     """
-    members = frozenset(I)
+    members = _in_carrier(T, I)
     if not members:
         raise ValueError("closure checked against an empty subset")
     _check_scan_budget(T, term, len(members))
@@ -383,11 +384,13 @@ def closed_subsets(T: ImplicationTable, subsets, term: Term) -> tuple[bool, ...]
     contains e, so a clause breaks exactly the subsets in the AND of holds[y]
     over its ys and the OR of ~holds[v] over its values.  Each verdict equals
     `bool(closed_under_term(T, D, term))`, which may refuse the carrier as too
-    large a scan; no witnesses are kept.
+    large a scan; no witnesses are kept.  A member of a subset outside the
+    carrier raises BadIndex.
     """
     sets = [frozenset(D) for D in subsets]
     if not all(sets):
         raise ValueError("closure checked against an empty subset")
+    _in_carrier(T, chain.from_iterable(sets))
     carrier = frozenset(range(T.n))
     proper = [D for D in sets if D != carrier]
     if not proper:
@@ -427,8 +430,9 @@ def is_ideal_by_terms(T: ImplicationTable, I) -> Verdict:
 
 
 def property_mp(T: ImplicationTable, I) -> Verdict:
-    """The detachment rule: a in I and a*b in I imply b in I; witness is (a, b)."""
-    members = frozenset(I)
+    """The detachment rule: a in I and a*b in I imply b in I; witness is (a, b).
+    A member outside the carrier raises BadIndex."""
+    members = _in_carrier(T, I)
     B = T.bullet
     for a in sorted(members):
         for b in range(T.n):

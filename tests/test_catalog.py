@@ -160,6 +160,13 @@ def test_one_out_of_range():
         parse_ioa("ioa 1\nn 2\none 2\nrow 0 1 1\nrow 1 0 1\n")
 
 
+def test_duplicate_one_line_is_a_parse_error():
+    text = "ioa 1\nn 2\none 1\none 0\nrow 0 1 1\nrow 1 0 1\n"
+    with pytest.raises(ParseError, match="duplicate one line") as exc:
+        parse_ioa(text)
+    assert exc.value.line == 4
+
+
 def test_cyclic_order_is_rejected():
     text = "olat 1\nn 3\nle 0 1\nle 1 0\nle 0 2\nle 1 2\ncomp 0 2\ncomp 1 1\n"
     with pytest.raises(AlgebraError):

@@ -167,6 +167,14 @@ def test_congruences_methods_agree(capsys):
     assert "check methods-agree PASS" in out
 
 
+def test_congruences_above_the_brute_force_limit_check_the_listed_kernels_differ(capsys):
+    assert entry("fig2_reduct").payload.n > orthokit.congruence.BRUTE_FORCE_LIMIT
+    code, out, _ = run(capsys, "congruences", "--catalog", "fig2_reduct")
+    assert code == 0
+    assert out.count("congruence ") == 2
+    assert "check kernels-distinct PASS" in out and "kernel-map-injective" not in out
+
+
 def test_congruences_brute_guard_is_exit_2(capsys):
     code, _, err = run(capsys, "congruences", "--catalog", "fig2_reduct", "--method", "brute")
     assert code == 2

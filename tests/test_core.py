@@ -244,6 +244,19 @@ def test_bottom_interval_always_has_a_witness():
         assert validate_interval_witness(L, found).ok
 
 
+def test_interval_witness_failures_name_the_domain_and_the_complement_meet():
+    L = entry("bool8").payload
+    # a map also set at 0, which lies below p = 1: the domain it claims is reported
+    cmap = list(find_interval_orthocomplementation(L, 1).cmap)
+    cmap[0] = 0
+    assert validate_interval_witness(L, IntervalWitness(1, tuple(cmap))).witness == ("domain", (0, 1, 3, 5, 7))
+    # a v comp(a) = 1 still holds everywhere, but a ^ comp(a) now reads 2 at a = 1
+    meet = [list(row) for row in L.meet]
+    meet[1][6] = 2
+    M = dataclasses.replace(L, meet=tuple(map(tuple, meet)))
+    assert validate_interval_witness(M, IntervalWitness(0, L.comp)).witness == ("complement-meet", 1)
+
+
 def _all_valid_witness_maps(L, p):
     # brute-force oracle: enumerate every self-map of the interval, keep the
     # valid orthocomplementations as full-length cmap tuples

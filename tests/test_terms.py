@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from orthokit import catalog, entry
 from orthokit.congruence import all_congruences_bruteforce, congruence_lattice, kernel
-from orthokit.errors import ArityMismatch, ParseError
+from orthokit.errors import ArityMismatch, BadIndex, ParseError
 from orthokit.terms import (
     Const1,
     Term,
@@ -14,6 +14,7 @@ from orthokit.terms import (
     YVar,
     builtin_terms,
     check_lemma_chain,
+    closed_subsets,
     closed_under_term,
     eval_term,
     ideal_closure,
@@ -200,6 +201,25 @@ def test_detachment_on_simple_subsets():
     assert not v.ok
     a, b = v.witness
     assert a in {0, 3} and T.bullet[a][b] in {0, 3} and b not in {0, 3}
+
+
+@pytest.mark.parametrize("bad, least", [({3, 9}, 9), ({3, 5}, 5), ({0, 3, 4}, 4), ({3, -1}, -1), ({-2, 3, 7}, -2)])
+def test_term_layer_rejects_members_outside_the_carrier(bad, least):
+    # as the kernel rules do: the least member outside names the fault, before any scan reads the table
+    T = entry("bool4_reduct").payload
+    terms = builtin_terms()
+    calls = [
+        lambda: closed_under_term(T, bad, terms["t1"]),
+        lambda: closed_under_term(T, bad, terms["t6"]),
+        lambda: closed_subsets(T, [{T.one}, bad, range(T.n)], terms["t1"]),
+        lambda: property_mp(T, bad),
+        lambda: is_ideal_by_terms(T, bad),
+        lambda: check_lemma_chain(T, bad),
+    ]
+    for call in calls:
+        with pytest.raises(BadIndex) as exc:
+            call()
+        assert (exc.value.value, exc.value.n) == (least, T.n)
 
 
 def test_lemma_chain_has_no_violations_on_small_reducts():
