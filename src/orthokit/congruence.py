@@ -35,7 +35,7 @@ from itertools import combinations
 from .core import _Built, _cover_pairs
 from .errors import BadIndex, InconsistentTable, MissingOne, NotAJoin, NotAnOrder, NotD1, NotD2, TooLarge
 from .implication import ImplicationTable, _columns, _readers, _table_fact, induced_join, induced_order
-from .report import Verdict
+from .report import Verdict, first_witness
 
 BRUTE_FORCE_LIMIT = 10  # Bell(10) = 115975 partitions
 
@@ -126,18 +126,19 @@ def congruence_violation(T: ImplicationTable, P: Partition) -> tuple | None:
     n, B, rep = T.n, T.bullet, P.rep
     if P.n != n:
         raise BadIndex(P.n, n)
-    if all(_read_alike(readers, rep) for readers in _readers(T)):
-        return None
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rep[a] != rep[b]:
-                continue
-            for c in range(n):
-                if rep[B[a][c]] != rep[B[b][c]]:
-                    return (a, b, c, c)
-                if rep[B[c][a]] != rep[B[c][b]]:
-                    return (c, c, a, b)
-    return None
+
+    def fails():
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rep[a] != rep[b]:
+                    continue
+                for c in range(n):
+                    if rep[B[a][c]] != rep[B[b][c]]:
+                        yield a, b, c, c
+                    if rep[B[c][a]] != rep[B[c][b]]:
+                        yield c, c, a, b
+
+    return first_witness(fails(), all(_read_alike(readers, rep) for readers in _readers(T)))
 
 
 def is_congruence(T: ImplicationTable, P: Partition) -> Verdict:
@@ -322,7 +323,7 @@ def kernel(T: ImplicationTable, P: Partition) -> KernelSet:
 
 def verify_kernel_injectivity(T: ImplicationTable) -> Verdict:
     """Distinct congruences must have distinct kernels; witness is a colliding pair."""
-    first = next(kernel_collisions(T, all_congruences_bruteforce(T)), None)
+    first = first_witness(kernel_collisions(T, all_congruences_bruteforce(T)))
     return Verdict(first is None, first)
 
 
@@ -403,13 +404,10 @@ def _d1_failure(T: ImplicationTable, members: frozenset[int], rows) -> tuple | N
     For each x in D and each y, row y's bitset must lie inside row x*y's;
     the least bit outside names z.
     """
-    B = T.bullet
-    for x in sorted(members):
-        for y, xy in enumerate(B[x]):
-            missed = rows[y] & ~rows[xy]
-            if missed:
-                return (x, y, _lowest(missed))
-    return None
+    return first_witness(
+        (x, y, _lowest(rows[y] & ~rows[xy]))
+        for x in sorted(members) for y, xy in enumerate(T.bullet[x]) if rows[y] & ~rows[xy]
+    )
 
 
 def _d2_failure(T: ImplicationTable, members: frozenset[int], right: bool = True, left: bool = True) -> tuple | None:
@@ -427,17 +425,12 @@ def _d2_witness(T: ImplicationTable, members, rep, equivalence: bool, right: boo
     first witness.
     """
     by_row, by_col = _readers(T)
-    if equivalence and (not right or _read_alike(by_row, rep)) and (not left or _read_alike(by_col, rep)):
-        return None
-    n, B = T.n, T.bullet
-    for x in range(n):
-        for y in range(n):
-            if B[x][y] not in members or B[y][x] not in members:
-                continue
-            for z in range(n):
-                if (right and B[B[x][z]][B[y][z]] not in members) or (left and B[B[z][x]][B[z][y]] not in members):
-                    return (x, y, z)
-    return None
+    rng, B = range(T.n), T.bullet
+    return first_witness((
+        (x, y, z)
+        for x in rng for y in rng if B[x][y] in members and B[y][x] in members
+        for z in rng if (right and B[B[x][z]][B[y][z]] not in members) or (left and B[B[z][x]][B[z][y]] not in members)
+    ), equivalence and (not right or _read_alike(by_row, rep)) and (not left or _read_alike(by_col, rep)))
 
 
 def check_d1(T: ImplicationTable, D) -> Verdict:

@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
     WitnessNotFound,
 )
-from .report import Check, CheckReport, Verdict, first_failure
+from .report import Check, CheckReport, Verdict, first_failure, first_witness
 
 # Backtracking over candidate involutions is exponential in the interval
 # size, so the witness search refuses intervals above this bound.
@@ -67,7 +67,7 @@ class OrtholatticeTable:
         return self.join[i][j] == j
 
     def label(self, i: int) -> str:
-        return self.names[i] if self.names else str(i)
+        return self.names[i] if self.names and i is not None else str(i)
 
     def poset(self) -> PosetTable:
         leq = tuple(tuple(self.join[i][j] == j for j in range(self.n)) for i in range(self.n))
@@ -108,7 +108,7 @@ class OrthosemilatticeTable:
         return self.join[i][j] == j
 
     def label(self, i: int) -> str:
-        return self.names[i] if self.names else str(i)
+        return self.names[i] if self.names and i is not None else str(i)
 
 
 @dataclass(frozen=True)
@@ -137,19 +137,19 @@ def validate_poset(leq) -> PosetTable:
         if not rows[i][i]:
             raise NotReflexive(i)
     up, down = _up_down(rows)
-    if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
-        for i in range(n):
-            for j in range(n):
-                if i != j and rows[i][j] and rows[j][i]:
-                    raise NotAntisymmetric(i, j)
-    if any(reduce(or_, compress(up, row)) != u for row, u in zip(rows, up)):
-        for i in range(n):
-            for j in range(n):
-                if not rows[i][j]:
-                    continue
-                for k in range(n):
-                    if rows[j][k] and not rows[i][k]:
-                        raise NotTransitive(i, j, k)
+    rng = range(n)
+    pair = first_witness(
+        ((i, j) for i in rng for j in rng if i != j and rows[i][j] and rows[j][i]),
+        all(u & d == 1 << i for i, (u, d) in enumerate(zip(up, down))),
+    )
+    if pair:
+        raise NotAntisymmetric(*pair)
+    triple = first_witness(
+        ((i, j, k) for i in rng for j in rng if rows[i][j] for k in rng if rows[j][k] and not rows[i][k]),
+        all(reduce(or_, compress(up, row)) == u for row, u in zip(rows, up)),
+    )
+    if triple:
+        raise NotTransitive(*triple)
     return PosetTable(n, rows)
 
 
@@ -260,11 +260,6 @@ def _reader(row):
     return itemgetter(*row)
 
 
-def _law(name: str, holds: bool, fails) -> Check:
-    """A check decided by a whole-row test: passed when `holds`, else named by the ordered scan `fails`."""
-    return Check(name, True) if holds else first_failure(name, fails)
-
-
 def _associative(name: str, rows: Table, readers, lab) -> Check:
     """The first (x, y, z) with (x v y) v z != x v (y v z).
 
@@ -272,13 +267,11 @@ def _associative(name: str, rows: Table, readers, lab) -> Check:
     every y at once.  The scan over z runs only for a pair (x, y) that fails.
     """
     rng = range(len(rows))
-    return _law(name, all(
-        [get(row) for get in readers] == list(map(rows.__getitem__, row)) for row in rows
-    ), (
+    return first_failure(name, (
         f"x={lab(x)} y={lab(y)} z={lab(z)}"
         for x in rng for y in rng if rows[rows[x][y]] != readers[y](rows[x])
         for z in rng if rows[rows[x][y]][z] != rows[x][rows[y][z]]
-    ))
+    ), all([get(row) for get in readers] == list(map(rows.__getitem__, row)) for row in rows))
 
 
 def validate_ortholattice(L: OrtholatticeTable) -> CheckReport:
@@ -300,41 +293,43 @@ def validate_ortholattice(L: OrtholatticeTable) -> CheckReport:
     leq = [tuple(map(eq, row, rng)) for row in jn]
     below = tuple(zip(*leq))
     checks = (
-        _law("join-commutative", tuple(zip(*jn)) == jn,
-             (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
-        _law("meet-commutative", tuple(zip(*mt)) == mt,
-             (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if mt[x][y] != mt[y][x])),
+        first_failure("join-commutative",
+                      (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x]),
+                      tuple(zip(*jn)) == jn),
+        first_failure("meet-commutative",
+                      (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if mt[x][y] != mt[y][x]),
+                      tuple(zip(*mt)) == mt),
         _associative("join-associative", jn, jr, lab),
         _associative("meet-associative", mt, mr, lab),
         first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
         first_failure("meet-idempotent", (f"x={lab(x)}" for x in rng if mt[x][x] != x)),
-        _law("absorption", all(jr[x](mt[x]) == mr[x](jn[x]) == (x,) * n for x in rng), (
+        first_failure("absorption", (
             f"x={lab(x)} y={lab(y)}"
             for x in rng for y in rng if jn[x][mt[x][y]] != x or mt[x][jn[x][y]] != x
-        )),
+        ), all(jr[x](mt[x]) == mr[x](jn[x]) == (x,) * n for x in rng)),
         first_failure("bottom-least", (f"x={lab(x)}" for x in rng if jn[L.bot][x] != x)),
         first_failure("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][L.top] != L.top)),
         first_failure("comp-involution", (
             f"x={lab(x)}: comp(comp(x))={lab(cp[cp[x]])}" for x in rng if cp[cp[x]] != x
         )),
-        _law("comp-antitone", all(all(map(le, leq[x], flip(below[cp[x]]))) for x in rng), (
+        first_failure("comp-antitone", (
             f"x={lab(x)} y={lab(y)}: comp(y)={lab(cp[y])} not below comp(x)={lab(cp[x])}"
             for x in rng for y in rng if jn[x][y] == y and jn[cp[y]][cp[x]] != cp[x]
-        )),
+        ), all(all(map(le, leq[x], flip(below[cp[x]]))) for x in rng)),
         first_failure("complement-join", (
             f"x={lab(x)}: x v comp(x)={lab(jn[x][cp[x]])}" for x in rng if jn[x][cp[x]] != L.top
         )),
         first_failure("complement-meet", (
             f"x={lab(x)}: x ^ comp(x)={lab(mt[x][cp[x]])}" for x in rng if mt[x][cp[x]] != L.bot
         )),
-        _law("de-morgan-join", all(jr[x](cp) == flip(mt[cp[x]]) for x in rng), (
+        first_failure("de-morgan-join", (
             f"x={lab(x)} y={lab(y)}"
             for x in rng for y in rng if cp[jn[x][y]] != mt[cp[x]][cp[y]]
-        )),
-        _law("de-morgan-meet", all(mr[x](cp) == flip(jn[cp[x]]) for x in rng), (
+        ), all(jr[x](cp) == flip(mt[cp[x]]) for x in rng)),
+        first_failure("de-morgan-meet", (
             f"x={lab(x)} y={lab(y)}"
             for x in rng for y in rng if cp[mt[x][y]] != jn[cp[x]][cp[y]]
-        )),
+        ), all(mr[x](cp) == flip(jn[cp[x]]) for x in rng)),
     )
     return CheckReport(checks)
 
@@ -435,25 +430,18 @@ def is_strong(L: OrtholatticeTable) -> StrongnessResult:
 
 def is_modular(L: OrtholatticeTable) -> Verdict:
     """x <= z implies x v (y ^ z) = (x v y) ^ z; witness is (x, y, z)."""
-    n, jn, mt = L.n, L.join, L.meet
-    for x in range(n):
-        for z in range(n):
-            if jn[x][z] != z:
-                continue
-            for y in range(n):
-                if jn[x][mt[y][z]] != mt[jn[x][y]][z]:
-                    return Verdict(False, (x, y, z))
-    return Verdict(True)
+    rng, jn, mt = range(L.n), L.join, L.meet
+    first = first_witness(
+        (x, y, z) for x in rng for z in rng if jn[x][z] == z for y in rng if jn[x][mt[y][z]] != mt[jn[x][y]][z]
+    )
+    return Verdict(first is None, first)
 
 
 def is_orthomodular(L: OrtholatticeTable) -> Verdict:
     """x <= y implies x v (comp(x) ^ y) = y; witness is (x, y)."""
-    n, jn, mt, cp = L.n, L.join, L.meet, L.comp
-    for x in range(n):
-        for y in range(n):
-            if jn[x][y] == y and jn[x][mt[cp[x]][y]] != y:
-                return Verdict(False, (x, y))
-    return Verdict(True)
+    rng, jn, mt, cp = range(L.n), L.join, L.meet, L.comp
+    first = first_witness((x, y) for x in rng for y in rng if jn[x][y] == y and jn[x][mt[cp[x]][y]] != y)
+    return Verdict(first is None, first)
 
 
 def validate_interval_witness(L: OrtholatticeTable, w: IntervalWitness) -> Verdict:
@@ -461,20 +449,24 @@ def validate_interval_witness(L: OrtholatticeTable, w: IntervalWitness) -> Verdi
     members = interval(L, w.p)
     if w.domain() != members:
         return Verdict(False, ("domain", w.domain()))
-    jn, mt = L.join, L.meet
-    for a in members:
-        c = w.cmap[a]
-        if c is None or w.cmap[c] != a:
-            return Verdict(False, ("involution", a))
-        if jn[a][c] != L.top:
-            return Verdict(False, ("complement-join", a))
-        if mt[a][c] != w.p:
-            return Verdict(False, ("complement-meet", a))
-    for a in members:
-        for b in members:
-            if L.le(a, b) and not L.le(w.cmap[b], w.cmap[a]):
-                return Verdict(False, ("antitone", (a, b)))
-    return Verdict(True)
+    jn, mt, cm = L.join, L.meet, w.cmap
+
+    def fails():
+        for a in members:
+            c = cm[a]
+            if c is None or cm[c] != a:
+                yield "involution", a
+            elif jn[a][c] != L.top:
+                yield "complement-join", a
+            elif mt[a][c] != w.p:
+                yield "complement-meet", a
+        for a in members:
+            for b in members:
+                if L.le(a, b) and not L.le(cm[b], cm[a]):
+                    yield "antitone", (a, b)
+
+    first = first_witness(fails())
+    return Verdict(first is None, first)
 
 
 def as_orthosemilattice(L: OrtholatticeTable, witnesses=None) -> OrthosemilatticeTable:
@@ -582,16 +574,17 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
                 yield f"p={lab(p)}: image leaves the interval"
 
     checks = (
-        _law("join-commutative", commutative,
-             (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x])),
+        first_failure("join-commutative",
+                      (f"x={lab(x)} y={lab(y)}" for x in rng for y in rng if jn[x][y] != jn[y][x]),
+                      commutative),
         _associative("join-associative", jn, [_reader(row) for row in jn], lab),
         first_failure("join-idempotent", (f"x={lab(x)}" for x in rng if jn[x][x] != x)),
         first_failure("top-greatest", (f"x={lab(x)}" for x in rng if jn[x][S.top] != S.top)),
-        _law("witness-domains", all(
+        first_failure("witness-domains", domain_fails(), all(
             w.p == p and tuple(map(is_not, w.cmap, repeat(None))) == row
             and set(intervals[p]).issuperset(compress(w.cmap, row))
             for p, (w, row) in enumerate(zip(S.witnesses, leq))
-        ), domain_fails()),
+        )),
     )
     if not checks[-1].passed:
         # the per-interval law checks below would just crash on a bad family
@@ -630,23 +623,23 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
             f"p={lab(p)} a={lab(a)}"
             for p in rng for a in intervals[p] if cmaps[p][cmaps[p][a]] != a
         )),
-        _law("witness-antitone", de_morgan and idempotent, (
+        first_failure("witness-antitone", (
             f"p={lab(p)} a={lab(a)} b={lab(b)}"
             for p in rng
             for a in intervals[p]
             for b in intervals[p]
             if up[a] >> b & 1 and not up[cmaps[p][b]] >> cmaps[p][a] & 1
-        )),
+        ), de_morgan and idempotent),
         first_failure("complement-join", (
             f"p={lab(p)} a={lab(a)}"
             for p in rng for a in intervals[p] if jn[a][cmaps[p][a]] != S.top
         )),
-        _law("interval-lattice", glbs, lattice_fails()),
-        _law("interval-meet-de-morgan", de_morgan, demorgan_fails()),
-        _law("complement-meet", complement_meet, (
+        first_failure("interval-lattice", lattice_fails(), glbs),
+        first_failure("interval-meet-de-morgan", demorgan_fails(), de_morgan),
+        first_failure("complement-meet", (
             f"p={lab(p)} a={lab(a)}"
             for p in rng for a in intervals[p] if meet(p, a, cmaps[p][a]) != p
-        )),
+        ), complement_meet),
     )
     return CheckReport(checks)
 
@@ -665,8 +658,9 @@ def check_overlap_consistency(S: OrthosemilatticeTable) -> CheckReport:
                 members_q = intervals[q]
                 for a in members_q:
                     for b in members_q:
-                        in_p = wp[jn[wp[a]][wp[b]]]
-                        in_q = wq[jn[wq[a]][wq[b]]]
+                        # a witness undefined at a or b leaves the meet undefined
+                        in_p = None if wp[a] is None or wp[b] is None else wp[jn[wp[a]][wp[b]]]
+                        in_q = None if wq[a] is None or wq[b] is None else wq[jn[wq[a]][wq[b]]]
                         if in_p != in_q:
                             yield (
                                 f"p={lab(p)} q={lab(q)} a={lab(a)} b={lab(b)}: "

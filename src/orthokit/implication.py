@@ -33,7 +33,7 @@ from .errors import (
     NotImplicationAlgebra,
     OutOfInterval,
 )
-from .report import Check, CheckReport, first_failure
+from .report import Check, CheckReport, first_failure, first_witness
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -55,7 +55,7 @@ class ImplicationTable:
         return self.bullet[x][y] == self.one
 
     def label(self, i: int) -> str:
-        return self.names[i] if self.names else str(i)
+        return self.names[i] if self.names and i is not None else str(i)
 
 
 def _table_fact(decide):
@@ -214,14 +214,15 @@ def induced_join(T: ImplicationTable) -> Table:
     is the lub; the ordered scan runs only when that test fails, to name
     the first pair.
     """
-    n = T.n
+    rng = range(T.n)
     up, _ = _up_down(induced_order(T).leq)
     join = tuple(zip(*(get(col) for get, col in zip(_readers(T)[1], _columns(T)))))
-    if join != tuple(zip(*join)) or not _is_lub_table(join, up):
-        for x in range(n):
-            for y in range(n):
-                if _least(up[x] & up[y], up) != join[x][y]:
-                    raise NotAJoin(x, y)
+    pair = first_witness(
+        ((x, y) for x in rng for y in rng if _least(up[x] & up[y], up) != join[x][y]),
+        join == tuple(zip(*join)) and _is_lub_table(join, up),
+    )
+    if pair:
+        raise NotAJoin(*pair)
     return join
 
 

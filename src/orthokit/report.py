@@ -16,9 +16,18 @@ class Check:
         return f"check {self.name} {status}" + (f" {self.detail}" if self.detail and not self.passed else "")
 
 
-def first_failure(name: str, fails) -> Check:
-    """A check that passes when `fails` yields nothing, else keeps its first item as detail."""
-    first = next(iter(fails), None)
+def first_witness(fails, holds: bool = False):
+    """The first item of the ordered scan `fails`, or None when it yields nothing.
+
+    Where a whole-table test has already shown that the law `holds`, the
+    scan is not read at all; it only names the first counterexample.
+    """
+    return None if holds else next(iter(fails), None)
+
+
+def first_failure(name: str, fails, holds: bool = False) -> Check:
+    """A check that passes when `holds` or when `fails` yields nothing, else keeps its first item as detail."""
+    first = first_witness(fails, holds)
     return Check(name, first is None, first or "")
 
 

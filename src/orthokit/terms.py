@@ -45,7 +45,7 @@ from .congruence import KernelSet, _d2_failure, _in_carrier, check_d1, check_d2,
 from .core import _Built
 from .errors import ArityMismatch, ParseError, TooLarge
 from .implication import ImplicationTable, _columns
-from .report import Check, CheckReport, Verdict
+from .report import Check, CheckReport, Verdict, first_witness
 
 # Assignments an exhaustive term scan may visit; larger scans raise TooLarge up front.
 TERM_SCAN_LIMIT = 10**6
@@ -422,11 +422,14 @@ def closed_subsets(T: ImplicationTable, subsets, term: Term) -> tuple[bool, ...]
 def is_ideal_by_terms(T: ImplicationTable, I) -> Verdict:
     """A nonempty subset is an ideal iff it is closed under t1..t6, checked in order;
     a failure's witness is (the first failing term's name, its closure witness)."""
-    for name, term in _BUILTIN_TERMS.items():
-        v = closed_under_term(T, I, term)
-        if not v:
-            return Verdict(False, (name, v.witness))
-    return Verdict(True)
+    def fails():
+        for name, term in _BUILTIN_TERMS.items():
+            v = closed_under_term(T, I, term)
+            if not v:
+                yield name, v.witness
+
+    first = first_witness(fails())
+    return Verdict(first is None, first)
 
 
 def property_mp(T: ImplicationTable, I) -> Verdict:
@@ -434,11 +437,10 @@ def property_mp(T: ImplicationTable, I) -> Verdict:
     A member outside the carrier raises BadIndex."""
     members = _in_carrier(T, I)
     B = T.bullet
-    for a in sorted(members):
-        for b in range(T.n):
-            if B[a][b] in members and b not in members:
-                return Verdict(False, (a, b))
-    return Verdict(True)
+    first = first_witness(
+        (a, b) for a in sorted(members) for b in range(T.n) if B[a][b] in members and b not in members
+    )
+    return Verdict(first is None, first)
 
 
 def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:

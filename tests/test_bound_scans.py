@@ -144,15 +144,20 @@ def test_induced_join_matches_the_oracle_on_reducts_and_their_cell_mutants():
 
 
 def naive_overlap(S):
-    """The report of check_overlap_consistency, by plain loops."""
+    """The report of check_overlap_consistency, by plain loops.  A witness undefined at a or b
+    leaves the meet undefined (None)."""
     jn, lab, rng = S.join, S.label, range(S.n)
     w = [S.witnesses[p].cmap for p in rng]
+
+    def meet(p, a, b):
+        return None if w[p][a] is None or w[p][b] is None else w[p][jn[w[p][a]][w[p][b]]]
+
     return (first_failure("overlap-meets", (
         f"p={lab(p)} q={lab(q)} a={lab(a)} b={lab(b)}: "
-        f"meet {lab(w[p][jn[w[p][a]][w[p][b]]])} in [p,1] vs {lab(w[q][jn[w[q][a]][w[q][b]]])} in [q,1]"
+        f"meet {lab(meet(p, a, b))} in [p,1] vs {lab(meet(q, a, b))} in [q,1]"
         for p in rng for q in rng if jn[p][q] == q
         for a in interval(S, q) for b in interval(S, q)
-        if w[p][jn[w[p][a]][w[p][b]]] != w[q][jn[w[q][a]][w[q][b]]]
+        if meet(p, a, b) != meet(q, a, b)
     )),)
 
 
