@@ -11,10 +11,13 @@ finds, the kernels found before the clock starts.  An `ImplicationTable`
 keeps its identity report, induced order, induced join and brute-force
 congruences once decided, so each rep runs on fresh copies of the tables
 (`dataclasses.replace`, made before the clock starts) and times the
-decisions, not lookups of kept facts.  The `closures` column counts the
-principal congruences that one run of `congruence_lattice` closes (on every
-filter, in `--families`), by wrapping `congruence.principal_congruence` here;
-like `products` below it does not move with the host's speed.  The
+decisions, not lookups of kept facts.  In one run of `congruence_lattice`
+(on every filter, in `--families`) the `closures` column counts the
+principal congruences it closes, `joins` its `congruence_join` calls and
+`closes` the `congruence._close` runs under both, each by wrapping the
+function here; a join of two congruences the table is known to have merges
+classes without a close.  Like `products` below these counts do not move
+with the host's speed.  The
 `decided` column of `--families` runs `workloads._pipeline` once on every
 model of the pass and counts the identity reports, induced orders, induced
 joins and brute-force searches it actually decides, by wrapping the functions behind
@@ -82,7 +85,7 @@ def boolean(k, reps):
         "identities_s": best(imp.check_ioa_identities, reps, [T]),
         "induced_join_s": best(imp.induced_join, reps, [T]),
         "congruence_lattice_s": best(cong.congruence_lattice, reps, [T]),
-        "closures": closures(lambda: cong.congruence_lattice(T)),
+        **lattice_calls(lambda: cong.congruence_lattice(replace(T))),
         "kernel_rules_s": best(kernel_rules([T]), reps, [T]),
         "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for t in T1_T6], reps),
     }
@@ -107,7 +110,7 @@ def families_pass(seed, reps):
         "overlap_s": best(lambda: [core.check_overlap_consistency(F) for F in filters], reps),
         "induced_join_s": best(lambda *ts: [imp.induced_join(T) for T in ts], reps, tables),
         "congruence_lattice_s": best(lambda *ts: [cong.congruence_lattice(T) for T in ts], reps, tables),
-        "closures": closures(lambda: [cong.congruence_lattice(T) for T in tables]),
+        **lattice_calls(lambda: [cong.congruence_lattice(replace(T)) for T in tables]),
         "kernel_rules_s": best(kernel_rules(tables), reps, tables),
         "ideal_terms_s": best(lambda: [terms.is_ideal_term(T, t) for T in tables for t in T1_T6], reps),
         "decided": decided(models),
@@ -129,15 +132,19 @@ def counted(fn, calls):
     return call
 
 
-def closures(f):
-    """Calls of `congruence.principal_congruence` in one run of f."""
-    calls, real = [0], cong.principal_congruence
-    cong.principal_congruence = counted(real, calls)
+def lattice_calls(f):
+    """Calls of `principal_congruence`, `congruence_join` and `_close` in one run of f."""
+    names = {"closures": "principal_congruence", "joins": "congruence_join", "closes": "_close"}
+    calls = {key: [0] for key in names}
+    real = {key: getattr(cong, name) for key, name in names.items()}
+    for key, name in names.items():
+        setattr(cong, name, counted(real[key], calls[key]))
     try:
         f()
     finally:
-        cong.principal_congruence = real
-    return calls[0]
+        for key, name in names.items():
+            setattr(cong, name, real[key])
+    return {key: c[0] for key, c in calls.items()}
 
 
 def decided(models):

@@ -6,6 +6,15 @@ backtracking search over set partitions that cuts a branch at the first
 violated compatibility constraint (the oracle, guarded at n <= 10), and
 closure of generating principal congruences under join with them.
 
+Con(A) is a sublattice of Eq(A): the join of two congruences is the
+transitive closure of their union, already compatible.  So each table
+object keeps the set of partitions it has been shown to be congruences of,
+the one kept fact that grows: the identity and the principal closures of
+`congruence_lattice`, every closure `congruence_join` makes from a known
+congruence, and every Eq(A) join of two known ones.  `congruence_join`
+joins two known congruences by merging their classes alone; any other join
+runs the closure.
+
 The generators are the covering pairs (a, d), d covering a in the induced
 order, whenever `induced_join` accepts the table.  Then x v y = (x*y)*y is a
 term operation and the least upper bound, so every congruence class is
@@ -17,22 +26,25 @@ covers with the same d*a.  A table whose induced relation is not an order
 with that join takes all n(n-1)/2 pairs.
 
 The kernel rules are decided on θ_D, where x θ_D y iff x*y and y*x lie in
-D, from one bitset of D per row and per column of the table.  D1 is one
-containment of row bitsets per (x, y).  θ_D is symmetric, so the right half
-of D2 holds iff θ_D is compatible on the right (x θ_D y gives
-x*z θ_D y*z: apply the half to (x, y) and to (y, x)), and the left half iff
-it is compatible on the left.  Where θ_D is an equivalence, each half is one
-comparison of every row, or column, read through the least representatives
-with its representative's.  The ordered triple scans only name the first
-witness, after a fast test has failed or where θ_D is not an equivalence.
+D, from one bitset of D per row and per column of the table: one
+`bytes.translate` of the flattened rows, and one of the flattened columns,
+through D's membership map.  D1 is one containment of row bitsets per
+(x, y).  θ_D is symmetric, so the right half of D2 holds iff θ_D is
+compatible on the right (x θ_D y gives x*z θ_D y*z: apply the half to
+(x, y) and to (y, x)), and the left half iff it is compatible on the left.
+Where θ_D is an equivalence, each half is one comparison of every row, or
+column, read through the least representatives with its representative's.
+The ordered triple scans only name the first witness, after a fast test has
+failed or where θ_D is not an equivalence.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
-from .core import _Built, _cover_pairs
+from .core import _cover_pairs
 from .errors import BadIndex, InconsistentTable, MissingOne, NotAJoin, NotAnOrder, NotD1, NotD2, TooLarge
 from .implication import ImplicationTable, _columns, _readers, _table_fact, induced_join, induced_order
 from .report import Verdict, first_witness
@@ -220,6 +232,17 @@ def _congruences_bruteforce(T: ImplicationTable) -> tuple[Partition, ...]:
     return tuple(found)
 
 
+@_table_fact
+def _known(T: ImplicationTable) -> set[Partition]:
+    """The partitions shown to be congruences of T, once per table object; the set grows.
+
+    `congruence_lattice` adds the identity and its principal closures, once
+    `induced_order` has checked that T is an n x n table of elements, and
+    `congruence_join` each join it makes from a known congruence.
+    """
+    return set()
+
+
 def _close(T: ImplicationTable, rep: list[int], pending: list[tuple[int, int]]) -> Partition:
     """Merge the pending pairs into the classes of `rep` until the result is compatible.
 
@@ -252,6 +275,30 @@ def _close(T: ImplicationTable, rep: list[int], pending: list[tuple[int, int]]) 
     return Partition(tuple(least[r] for r in rep))
 
 
+def _eq_join(P: Partition, Q: Partition) -> Partition:
+    """The join of P and Q in Eq(A): the classes of the transitive closure of their union.
+
+    A union-find over P's classes that links each x to Q.rep[x], each class's
+    root its least element: every link points from the larger root to the
+    smaller, so up[x] <= x throughout and one pass in increasing x reads
+    each root.
+    """
+    up = list(P.rep)
+    for x, y in enumerate(Q.rep):
+        if x != y:
+            while up[x] != x:
+                x = up[x]
+            while up[y] != y:
+                y = up[y]
+            if x < y:
+                up[y] = x
+            elif y < x:
+                up[x] = y
+    for x, r in enumerate(up):
+        up[x] = up[r]
+    return Partition(tuple(up))
+
+
 def congruence_closure(T: ImplicationTable, pairs) -> Partition:
     """Least congruence merging the given pairs: class merging plus a worklist, from the identity."""
     return _close(T, list(range(T.n)), [(a, b) for a, b in pairs])
@@ -265,13 +312,24 @@ def principal_congruence(T: ImplicationTable, a: int, b: int) -> Partition:
 def congruence_join(T: ImplicationTable, P: Partition, Q: Partition) -> Partition:
     """Least congruence containing the congruence P and the partition Q.
 
-    The class merging starts from P's blocks and queues only Q's pairs; P's
-    own compatibility consequences need no queueing because P is a congruence.
+    Where T is known to have both P and Q as congruences (`_known`), the
+    join is their join in Eq(A), compatible because Con(A) is a sublattice
+    of Eq(A), and no table entry is read.  Otherwise the class merging
+    starts from P's blocks and queues only Q's pairs; P's own compatibility
+    consequences need no queueing because P is a congruence.  A join from a
+    known P is added to the known congruences.
     """
     if P.n != T.n:
         raise BadIndex(P.n, T.n)
-    pairs = [(block[0], x) for block in Q.blocks() for x in block[1:]]
-    return _close(T, list(P.rep), pairs)
+    known = _known(T)
+    shown = P in known
+    if shown and Q in known:
+        J = _eq_join(P, Q)
+    else:
+        J = _close(T, list(P.rep), [(block[0], x) for block in Q.blocks() for x in block[1:]])
+    if shown:
+        known.add(J)
+    return J
 
 
 def congruence_lattice(T: ImplicationTable) -> list[Partition]:
@@ -288,7 +346,12 @@ def congruence_lattice(T: ImplicationTable) -> list[Partition]:
     share one principal closure.  Any other table takes every pair as a
     generator.  Joining each known congruence P with every generator
     Θ(a, b) not already below it (a and b in different blocks of P) reaches
-    all joins of generators.
+    all joins of generators.  The identity and the principal congruences
+    are recorded as known (`_known`); `induced_order`, under `induced_join`,
+    has by then checked that T is an n x n table of elements, so they are
+    congruences.  Every join goes through `congruence_join`, and as T is
+    known to have both sides, each is a join in Eq(A): the only closures are
+    the principal ones.
     """
     n = T.n
     try:
@@ -302,6 +365,7 @@ def congruence_lattice(T: ImplicationTable) -> list[Partition]:
     for a, b in generators:
         principals.setdefault(principal_congruence(T, a, b), (a, b))
     known = {Partition.identity(n), *principals}
+    _known(T).update(known)
     frontier = list(principals)
     while frontier:
         fresh = []
@@ -346,13 +410,8 @@ def subsets_with_one(T: ImplicationTable):
             yield frozenset(picked) | {T.one}
 
 
-def _bitset(line, has) -> int:
-    """The line's bitset: bit 8i is set iff has(line[i])."""
-    return int.from_bytes(bytes(map(has, line)), "little")
-
-
 def _lowest(bits: int) -> int:
-    """The index i of the least set bit 8i of a nonzero `_bitset`."""
+    """The index i of the least set bit 8i of a nonzero line bitset (`_line_bits`)."""
     return ((bits & -bits).bit_length() - 1) >> 3
 
 
@@ -379,10 +438,39 @@ def _members(T: ImplicationTable, D) -> frozenset[int]:
     return members
 
 
-def _line_bits(T: ImplicationTable, members: frozenset[int]) -> tuple[list[int], list[int]]:
-    """Bitsets of D along the table: bit 8z of rows[x] is x*z in D, bit 8z of cols[x] is z*x in D."""
-    has = members.__contains__
-    return [_bitset(row, has) for row in T.bullet], [_bitset(col, has) for col in _columns(T)]
+@_table_fact
+def _flat(T: ImplicationTable) -> tuple[bytes, bytes] | tuple[tuple, tuple]:
+    """The table's rows laid end to end, and its columns, once per table object.
+
+    As bytes where the carrier and every entry fit in one, else as tuples.
+    """
+    sides = (T.bullet, _columns(T))
+    if T.n <= 256:
+        try:
+            return tuple(bytes(chain.from_iterable(lines)) for lines in sides)
+        except ValueError:
+            pass
+    return tuple(tuple(chain.from_iterable(lines)) for lines in sides)
+
+
+def _line_bits(T: ImplicationTable, members: frozenset[int]) -> Iterator[list[int]]:
+    """Bitsets of D along the table, the rows' and then the columns', each list made when drawn:
+    bit 8z of rows[x] is x*z in D, bit 8z of cols[x] is z*x in D.
+
+    Each side is one `bytes.translate` of the flattened table (`_flat`)
+    through D's 256-byte membership map, cut into lines of n bytes; a table
+    kept as tuples maps each entry through `in` instead.
+    """
+    n, sides = T.n, _flat(T)
+    if isinstance(sides[0], bytes):
+        has = bytearray(256)
+        for x in members:
+            has[x] = 1
+        marked = (side.translate(has) for side in sides)
+    else:
+        marked = (bytes(map(members.__contains__, side)) for side in sides)
+    for side in marked:
+        yield [int.from_bytes(side[i:i + n], "little") for i in range(0, len(side), n)]
 
 
 def _theta(rows: list[int], cols: list[int]) -> tuple[tuple[int, ...], bool]:
@@ -435,9 +523,8 @@ def _d2_witness(T: ImplicationTable, members, rep, equivalence: bool, right: boo
 
 def check_d1(T: ImplicationTable, D) -> Verdict:
     """x in D and y*z in D imply (x*y)*z in D; witness is (x, y, z)."""
-    members, B = _members(T, D), T.bullet
-    # each row's bitset is built on its first read, so a subset that fails early builds few
-    w = _d1_failure(T, members, _Built(lambda y: _bitset(B[y], members.__contains__)))
+    members = _members(T, D)
+    w = _d1_failure(T, members, next(_line_bits(T, members)))
     return Verdict(w is None, w)
 
 
@@ -469,11 +556,12 @@ def theta_from_kernel(T: ImplicationTable, D) -> Partition:
     raises InconsistentTable.
     """
     members = _members(T, D)
-    rows, cols = _line_bits(T, members)
+    lines = _line_bits(T, members)
+    rows = next(lines)
     w = _d1_failure(T, members, rows)
     if w is not None:
         raise NotD1(w)
-    rep, equivalence = _theta(rows, cols)
+    rep, equivalence = _theta(rows, next(lines))
     w = _d2_witness(T, members, rep, equivalence)
     if w is not None:
         raise NotD2(w)

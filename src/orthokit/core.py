@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq, is_not, itemgetter, le, or_
 
 from .errors import (
@@ -645,16 +645,23 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
 
 
 def check_overlap_consistency(S: OrthosemilatticeTable) -> CheckReport:
-    """Interval meets computed in [p, 1] and [q, 1] must agree on [q, 1] when p <= q."""
+    """Interval meets computed in [p, 1] and [q, 1] must agree on [q, 1] when p <= q.
+
+    A witness image outside the carrier is read as undefined, as None is.
+    """
     n, jn = S.n, S.join
     lab = S.label
     intervals = [interval(S, q) for q in range(n)]
+    cmaps = [w.cmap for w in S.witnesses]
+    readable = {None, *range(n)}
+    if not readable.issuperset(chain.from_iterable(cmaps)):
+        cmaps = [tuple(c if c in readable else None for c in cmap) for cmap in cmaps]
 
     def fails():
         for p in range(n):
-            wp = S.witnesses[p].cmap
+            wp = cmaps[p]
             for q in intervals[p]:
-                wq = S.witnesses[q].cmap
+                wq = cmaps[q]
                 members_q = intervals[q]
                 for a in members_q:
                     for b in members_q:

@@ -67,8 +67,10 @@ def _table_fact(decide):
     rejected table raises again on every call.  The fact belongs to the
     object, not to its value: `names` take no part in ==, yet the details of
     a report carry labels, and no cache outlives the table.  The result must
-    be immutable, since every caller gets the same one.  A decision calls
-    `fact.__wrapped__`, so a test can count decisions by replacing it.
+    be immutable, since every caller gets the same one; the one exception is
+    `congruence._known`, the set of congruences shown so far, which only
+    grows.  A decision calls `fact.__wrapped__`, so a test can count
+    decisions by replacing it.
     """
     key = f"{decide.__module__}.{decide.__qualname__}"
 

@@ -91,6 +91,14 @@ def _boolean_reduct_check(name: str, L, T) -> Check:
     return Check(f"{name}: reduct is comp(x) v y", ok)
 
 
+def _reduct_of(S):
+    """`derive_bullet(S)`, as the catalog reduct object where one equals it in value and in `names`,
+    so the facts that table keeps are decided once for both entries."""
+    T = derive_bullet(S)
+    return next((e.payload for e in cat.catalog()
+                 if e.kind == "implication" and e.payload == T and e.payload.names == T.names), T)
+
+
 def _semilattice_checks(name: str, S, T) -> list[Check]:
     """The checks of an orthosemilattice S and of T, its reduct `derive_bullet(S)`."""
     checks = [
@@ -227,13 +235,13 @@ def entry_checks(entry: cat.CatalogEntry, seed: int = 0) -> list[Check]:
         checks = _ortholattice_checks(entry.name, L, strong)
         if strong:
             S = as_orthosemilattice(L, strong.witnesses)
-            T = derive_bullet(S)
+            T = _reduct_of(S)
             checks.extend(_semilattice_checks(entry.name, S, T))
             if entry.name in ("bool4", "bool8"):
                 checks.append(_boolean_reduct_check(entry.name, L, T))
         return checks
     if entry.kind == "orthosemilattice":
-        return _semilattice_checks(entry.name, entry.payload, derive_bullet(entry.payload))
+        return _semilattice_checks(entry.name, entry.payload, _reduct_of(entry.payload))
     return _reduct_checks(entry.name, entry.payload, seed)
 
 

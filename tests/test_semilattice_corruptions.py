@@ -2,7 +2,9 @@
 
 A corrupted join table or witness map can leave a De Morgan meet, or a meet
 read through a witness, undefined.  The validator and the overlap check
-name such a meet as None, on named and unnamed tables alike.
+name such a meet as None, on named and unnamed tables alike.  The overlap
+check reads a witness image outside the carrier as undefined, as it reads
+None.
 """
 
 import dataclasses
@@ -58,3 +60,24 @@ def test_every_single_entry_corruption_gets_a_failing_report(name):
         assert check_overlap_consistency(M).checks
     # n^2 (n - 1) join corruptions and n^2 * n witness corruptions
     assert count == S.n ** 2 * (2 * S.n - 1)
+
+
+def with_image(S, p, a, v):
+    """S with entry a of the witness at p set to v."""
+    witnesses = list(S.witnesses)
+    cmap = S.witnesses[p].cmap
+    witnesses[p] = IntervalWitness(p, cmap[:a] + (v,) + cmap[a + 1:])
+    return dataclasses.replace(S, witnesses=tuple(witnesses))
+
+
+@pytest.mark.parametrize("name", SEMILATTICES)
+def test_a_witness_image_outside_the_carrier_reads_as_undefined(name):
+    """Each witness entry set to n and to -1 gets the overlap report of the entry set to None:
+    a failure inside the interval, the unchanged table's passing report outside it."""
+    S = semilattice(name)
+    for p, w in enumerate(S.witnesses):
+        for a, c in enumerate(w.cmap):
+            undefined = check_overlap_consistency(with_image(S, p, a, None))
+            assert undefined.ok == (c is None)
+            for v in (S.n, -1):
+                assert check_overlap_consistency(with_image(S, p, a, v)).checks == undefined.checks

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from oracles import naive_congruence_lattice
-from orthokit import catalog, entry
+from orthokit import catalog, catalog_io, entry, verify
 from orthokit import congruence as cong
 from orthokit import implication as imp
 from orthokit.catalog_io import parse_olat
@@ -107,6 +107,17 @@ def test_a_kept_report_is_the_same_object_and_a_copy_decides_again(decisions):
     assert imp.check_ioa_identities(dataclasses.replace(T)) == imp.check_ioa_identities(T)
     assert len(decisions["identities"]) == 2
     assert len(decisions["induced_order"]) == len(decisions["induced_join"]) == 1
+
+
+def test_verify_theorems_all_decides_one_identity_report_per_catalog_reduct(decisions, monkeypatch):
+    """The reduct each strong ortholattice and the semilattice entry derive is the catalog reduct
+    equal to it in value and in names, so its report is decided once, on that object."""
+    fresh = catalog_io.catalog.__wrapped__()
+    monkeypatch.setattr(catalog_io, "catalog", lambda: fresh)
+    verify.all_checks(seed=0)
+    reducts = [e.payload for e in fresh if e.kind == "implication"]
+    assert len(reducts) == 6
+    assert Counter(map(id, decisions["identities"])) == Counter(map(id, reducts))
 
 
 def test_value_equal_tables_keep_their_own_labels():
