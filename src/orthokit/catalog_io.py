@@ -32,7 +32,7 @@ from .core import (
     restrict_to_filter,
     validate_poset,
 )
-from .errors import MissingComplement, ParseError, RangeError
+from .errors import BadIndex, MissingComplement, ParseError, RangeError
 from .implication import ImplicationTable, derive_bullet
 
 
@@ -67,17 +67,6 @@ def _index(tok: str, n: int, lineno: int) -> int:
     if not 0 <= v < n:
         raise RangeError(f"index {v} out of range 0..{n - 1}", lineno)
     return v
-
-
-def _transitive_closure(leq: list[list[bool]]) -> None:
-    n = len(leq)
-    for k in range(n):
-        for i in range(n):
-            if leq[i][k]:
-                row_i, row_k = leq[i], leq[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
 
 
 def _body(text: str, fmt: str):
@@ -206,12 +195,18 @@ def sniff_format(text: str) -> str:
 
 
 def ortholattice_from_covers(n, covers, comp_pairs, names=None) -> OrtholatticeTable:
-    """Close the order generators reflexively and transitively, then tabulate the lattice."""
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    """Close the order generators reflexively and transitively, by Warshall on up-set bitsets,
+    then tabulate the lattice."""
+    up = [1 << i for i in range(n)]
     for i, j in covers:
-        leq[i][j] = True
-    _transitive_closure(leq)
-    join, meet, bot, top = lattice_from_order(validate_poset(leq))
+        if not (0 <= i < n and 0 <= j < n):
+            raise BadIndex((i, j), n)
+        up[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    join, meet, bot, top = lattice_from_order(validate_poset([[u >> j & 1 for j in range(n)] for u in up]))
     comp = [None] * n
     for i, j in comp_pairs:
         comp[i] = j
@@ -234,10 +229,6 @@ def boolean_lattice(k: int, names=None) -> OrtholatticeTable:
         n=n, join=join, meet=meet, comp=comp, bot=0, top=full,
         names=tuple(names) if names else None,
     )
-
-
-def _chain2() -> OrtholatticeTable:
-    return ortholattice_from_covers(2, [(0, 1)], [(0, 1)], names=("0", "1"))
 
 
 def _mo2() -> OrtholatticeTable:
@@ -278,7 +269,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
     Ortholattices come first, then orthosemilattices, then the derived
     implication reducts of every strong entry and of the filter entry.
     """
-    chain2 = _chain2()
+    chain2 = boolean_lattice(1, ("0", "1"))
     bool4 = boolean_lattice(2, ("0", "a", "a'", "1"))
     bool8 = boolean_lattice(3, ("0", "a", "b", "ab", "c", "ac", "bc", "1"))
     mo2 = _mo2()

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from .core import _cover_pairs
 from .errors import BadIndex, InconsistentTable, MissingOne, NotAJoin, NotAnOrder, NotD1, NotD2, TooLarge
-from .implication import ImplicationTable, _columns, _readers, _table_fact, induced_join, induced_order
+from .implication import ImplicationTable, _columns, _flat, _readers, _table_fact, induced_join, induced_order
 from .report import Verdict, first_witness
 
 BRUTE_FORCE_LIMIT = 10  # Bell(10) = 115975 partitions
@@ -154,8 +154,7 @@ def congruence_violation(T: ImplicationTable, P: Partition) -> tuple | None:
 
 
 def is_congruence(T: ImplicationTable, P: Partition) -> Verdict:
-    v = congruence_violation(T, P)
-    return Verdict(v is None, v)
+    return Verdict.of(congruence_violation(T, P))
 
 
 def iter_partitions(n: int):
@@ -387,8 +386,7 @@ def kernel(T: ImplicationTable, P: Partition) -> KernelSet:
 
 def verify_kernel_injectivity(T: ImplicationTable) -> Verdict:
     """Distinct congruences must have distinct kernels; witness is a colliding pair."""
-    first = first_witness(kernel_collisions(T, all_congruences_bruteforce(T)))
-    return Verdict(first is None, first)
+    return Verdict.of(first_witness(kernel_collisions(T, all_congruences_bruteforce(T))))
 
 
 def kernel_collisions(T: ImplicationTable, congruences):
@@ -436,21 +434,6 @@ def _members(T: ImplicationTable, D) -> frozenset[int]:
     if T.one not in members:
         raise MissingOne()
     return members
-
-
-@_table_fact
-def _flat(T: ImplicationTable) -> tuple[bytes, bytes] | tuple[tuple, tuple]:
-    """The table's rows laid end to end, and its columns, once per table object.
-
-    As bytes where the carrier and every entry fit in one, else as tuples.
-    """
-    sides = (T.bullet, _columns(T))
-    if T.n <= 256:
-        try:
-            return tuple(bytes(chain.from_iterable(lines)) for lines in sides)
-        except ValueError:
-            pass
-    return tuple(tuple(chain.from_iterable(lines)) for lines in sides)
 
 
 def _line_bits(T: ImplicationTable, members: frozenset[int]) -> Iterator[list[int]]:
@@ -524,8 +507,7 @@ def _d2_witness(T: ImplicationTable, members, rep, equivalence: bool, right: boo
 def check_d1(T: ImplicationTable, D) -> Verdict:
     """x in D and y*z in D imply (x*y)*z in D; witness is (x, y, z)."""
     members = _members(T, D)
-    w = _d1_failure(T, members, next(_line_bits(T, members)))
-    return Verdict(w is None, w)
+    return Verdict.of(_d1_failure(T, members, next(_line_bits(T, members))))
 
 
 def check_d2(T: ImplicationTable, D) -> Verdict:
@@ -537,8 +519,7 @@ def check_d2(T: ImplicationTable, D) -> Verdict:
     comparison per row and per column; the triple scan only names the
     first witness of a failure.
     """
-    w = _d2_failure(T, _members(T, D))
-    return Verdict(w is None, w)
+    return Verdict.of(_d2_failure(T, _members(T, D)))
 
 
 def theta_from_kernel(T: ImplicationTable, D) -> Partition:

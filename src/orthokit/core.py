@@ -242,17 +242,6 @@ def _check_tables(n: int, tables, maps, elements) -> None:
         raise BadIndex("table entry", n)
 
 
-class _Built(dict):
-    """A dict that builds a missing value as build(key) and keeps it."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, key):
-        self[key] = value = self.build(key)
-        return value
-
-
 def _reader(row):
     """itemgetter(*row), mapping s to (s[row[0]], s[row[1]], ...): a tuple also when row has one entry."""
     if len(row) == 1:
@@ -431,17 +420,15 @@ def is_strong(L: OrtholatticeTable) -> StrongnessResult:
 def is_modular(L: OrtholatticeTable) -> Verdict:
     """x <= z implies x v (y ^ z) = (x v y) ^ z; witness is (x, y, z)."""
     rng, jn, mt = range(L.n), L.join, L.meet
-    first = first_witness(
+    return Verdict.of(first_witness(
         (x, y, z) for x in rng for z in rng if jn[x][z] == z for y in rng if jn[x][mt[y][z]] != mt[jn[x][y]][z]
-    )
-    return Verdict(first is None, first)
+    ))
 
 
 def is_orthomodular(L: OrtholatticeTable) -> Verdict:
     """x <= y implies x v (comp(x) ^ y) = y; witness is (x, y)."""
     rng, jn, mt, cp = range(L.n), L.join, L.meet, L.comp
-    first = first_witness((x, y) for x in rng for y in rng if jn[x][y] == y and jn[x][mt[cp[x]][y]] != y)
-    return Verdict(first is None, first)
+    return Verdict.of(first_witness((x, y) for x in rng for y in rng if jn[x][y] == y and jn[x][mt[cp[x]][y]] != y))
 
 
 def validate_interval_witness(L: OrtholatticeTable, w: IntervalWitness) -> Verdict:
@@ -465,8 +452,7 @@ def validate_interval_witness(L: OrtholatticeTable, w: IntervalWitness) -> Verdi
                 if L.le(a, b) and not L.le(cm[b], cm[a]):
                     yield "antitone", (a, b)
 
-    first = first_witness(fails())
-    return Verdict(first is None, first)
+    return Verdict.of(first_witness(fails()))
 
 
 def as_orthosemilattice(L: OrtholatticeTable, witnesses=None) -> OrthosemilatticeTable:

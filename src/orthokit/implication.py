@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import repeat
+from itertools import chain, repeat
 from operator import eq
 
 from .core import (
@@ -70,7 +70,9 @@ def _table_fact(decide):
     be immutable, since every caller gets the same one; the one exception is
     `congruence._known`, the set of congruences shown so far, which only
     grows.  A decision calls `fact.__wrapped__`, so a test can count
-    decisions by replacing it.
+    decisions by replacing it.  The facts kept so are `check_ioa_identities`,
+    `induced_order`, `induced_join`, `_columns`, `_readers` and `_flat` here,
+    and `_congruences_bruteforce` and `_known` in `congruence`.
     """
     key = f"{decide.__module__}.{decide.__qualname__}"
 
@@ -194,6 +196,26 @@ def _readers(T: ImplicationTable) -> tuple[tuple, tuple]:
     to (s[0*x], s[1*x], ...), a tuple also when n = 1.
     """
     return tuple(map(_reader, T.bullet)), tuple(map(_reader, _columns(T)))
+
+
+@_table_fact
+def _flat(T: ImplicationTable) -> tuple[bytes, bytes] | tuple[tuple, tuple]:
+    """The table's rows laid end to end, and its columns, once per table object.
+
+    As bytes where the table is n x n with n <= 256 and every entry is an
+    element, so that line x is the n bytes from n*x; else as tuples.
+    """
+    n, sides = T.n, (T.bullet, _columns(T))
+    if n <= 256 and len(T.bullet) == n:
+        try:
+            flat = tuple(bytes(chain.from_iterable(lines)) for lines in sides)
+        except ValueError:
+            pass
+        else:
+            # n x n, and deleting the elements from the rows leaves nothing
+            if len(flat[0]) == len(flat[1]) == n * n and not flat[0].translate(None, bytes(range(n))):
+                return flat
+    return tuple(tuple(chain.from_iterable(lines)) for lines in sides)
 
 
 def _is_lub_table(join: Table, up) -> bool:

@@ -58,3 +58,8 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @classmethod
+    def of(cls, witness) -> "Verdict":
+        """The verdict whose first counterexample is `witness`: ok when it is None, as in `first_failure`."""
+        return cls(witness is None, witness)

@@ -20,7 +20,9 @@ it decides those clauses for every subset at once, on bitsets over the
 subsets' positions, without witnesses.
 
 Every table is built from the operation table alone, which is assumed to
-satisfy no identity, by whole-table byte operations.  A table whose entries
+satisfy no identity, by whole-table byte operations on slices of its one
+kept byte form (`implication._flat`); a table that has none, having an entry
+that is not an element, raises BadIndex.  A table whose entries
 are all equal is a constant.  A constant right side c absorbs its product,
 whose left side is never tabulated, when column c is constant (in a reduct
 x*1 = 1, so with y set to 1 every s*y is 1); otherwise a constant side is
@@ -42,9 +44,8 @@ from functools import cache, partial
 from itertools import chain, islice, repeat
 
 from .congruence import KernelSet, _d2_failure, _in_carrier, check_d1, check_d2, congruence_closure, kernel
-from .core import _Built
-from .errors import ArityMismatch, ParseError, TooLarge
-from .implication import ImplicationTable, _columns
+from .errors import ArityMismatch, BadIndex, ParseError, TooLarge
+from .implication import ImplicationTable, _flat
 from .report import Check, CheckReport, Verdict, first_witness
 
 # Assignments an exhaustive term scan may visit; larger scans raise TooLarge up front.
@@ -158,21 +159,33 @@ def _check_scan_budget(T: ImplicationTable, term: Term, ysize: int) -> None:
 def _tabulate(T: ImplicationTable, term: Term, ydomain) -> tuple[tuple[int, ...], bytes]:
     """Variables and value table of the root, folded bottom-up in one walk.
 
-    Constants fold as the module docstring says.  Rows and columns, padded
-    to the 256 bytes `translate` takes, and the pair table of `_paired` are
-    built on first use, once per call.  The carrier size alone selects
-    `_paired` (n <= 16) or `_bullet` for two non-constant sides.
+    Constants fold as the module docstring says.  Every line of the
+    operation table is a slice of its kept byte form (`_flat`), padded once
+    per call: line l of a side is the 256 bytes `translate` takes from n*l,
+    of which only the first n are read, every value being an element.  The
+    pair table of `_paired` is cut from the rows at its first use, once per
+    call.  The carrier size alone selects `_paired` (n <= 16) or `_bullet`
+    for two non-constant sides.  A table that is not n x n over elements,
+    or whose 1 is not one, raises BadIndex.
     """
     n, B = T.n, T.bullet
+    rows, cols = _flat(T)
+    if not isinstance(rows, bytes) or not 0 <= T.one < n:
+        raise BadIndex("table entry", n)
+    rows, cols = rows + bytes(256), cols + bytes(256)
     size = [n] * term.xarity + [len(ydomain)] * term.yarity
-    row = _Built(lambda l: bytes(B[l]).ljust(256, b"\0"))
-    col = _Built(lambda r: bytes(_columns(T)[r]).ljust(256, b"\0"))
     pair = b""
+
+    def row(l):
+        return rows[n * l:n * l + 256]
+
+    def col(r):
+        return cols[n * r:n * r + 256]
 
     def absorbs(right):
         vs, values = right
         if not vs:
-            line = col[values[0]]
+            line = col(values[0])
             if line.count(line[0], 0, n) == n:
                 return (), line[:1]
         return None
@@ -181,13 +194,13 @@ def _tabulate(T: ImplicationTable, term: Term, ydomain) -> tuple[tuple[int, ...]
         nonlocal pair
         (lvars, lvals), (rvars, rvals) = left, right
         if not lvars:
-            return _folded(rvars, rvals.translate(row[lvals[0]]))
+            return _folded(rvars, rvals.translate(row(lvals[0])))
         if not rvars:
-            return _folded(lvars, lvals.translate(col[rvals[0]]))
+            return _folded(lvars, lvals.translate(col(rvals[0])))
         if n > 16:
             return _folded(*_bullet(left, right, size, B, row, col))
         if not pair:
-            pair = bytes(16 - n).join(map(bytes, B)).ljust(256, b"\0")
+            pair = bytes(16 - n).join(rows[n * l:n * l + n] for l in range(n)).ljust(256, b"\0")
         return _folded(*_paired(left, right, size, pair))
 
     carrier, yvals = bytes(range(n)), bytes(ydomain)
@@ -243,7 +256,7 @@ def _bullet(left, right, size, B, row, col) -> tuple[tuple[int, ...], bytes]:
     keys = _broadcast(keys, keyvars, lead, size)
     vals = _broadcast(vals, valvars, vs, size)
     spans = map(slice, range(0, len(vals), span), range(span, len(vals) + span, span))
-    return vs, b"".join(map(bytes.translate, map(vals.__getitem__, spans), map(through.__getitem__, keys)))
+    return vs, b"".join(map(bytes.translate, map(vals.__getitem__, spans), map(through, keys)))
 
 
 def _constant_span(vs, own, size) -> int:
@@ -331,7 +344,7 @@ def is_ideal_term(T: ImplicationTable, term: Term) -> Verdict:
     """
     _check_scan_budget(T, term, 1)
     miss = _first_outside(T, term, (T.one,), frozenset((T.one,)))
-    return Verdict(True) if miss is None else Verdict(False, miss[0])
+    return Verdict.of(None if miss is None else miss[0])
 
 
 def _make_builtin_terms() -> dict[str, Term]:
@@ -367,8 +380,7 @@ def closed_under_term(T: ImplicationTable, I, term: Term) -> Verdict:
     if not members:
         raise ValueError("closure checked against an empty subset")
     _check_scan_budget(T, term, len(members))
-    miss = _first_outside(T, term, sorted(members), members)
-    return Verdict(True) if miss is None else Verdict(False, miss)
+    return Verdict.of(_first_outside(T, term, sorted(members), members))
 
 
 def closed_subsets(T: ImplicationTable, subsets, term: Term) -> tuple[bool, ...]:
@@ -428,8 +440,7 @@ def is_ideal_by_terms(T: ImplicationTable, I) -> Verdict:
             if not v:
                 yield name, v.witness
 
-    first = first_witness(fails())
-    return Verdict(first is None, first)
+    return Verdict.of(first_witness(fails()))
 
 
 def property_mp(T: ImplicationTable, I) -> Verdict:
@@ -437,10 +448,9 @@ def property_mp(T: ImplicationTable, I) -> Verdict:
     A member outside the carrier raises BadIndex."""
     members = _in_carrier(T, I)
     B = T.bullet
-    first = first_witness(
+    return Verdict.of(first_witness(
         (a, b) for a in sorted(members) for b in range(T.n) if B[a][b] in members and b not in members
-    )
-    return Verdict(first is None, first)
+    ))
 
 
 def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:
@@ -454,8 +464,8 @@ def check_lemma_chain(T: ImplicationTable, I) -> CheckReport:
     most once.
     """
     members = frozenset(I)
-    closed = _Built(lambda name: closed_under_term(T, members, _BUILTIN_TERMS[name]).ok)
-    return _lemma_chain(T, members, closed.__getitem__, lambda: check_d1(T, members).ok,
+    closed = cache(lambda name: closed_under_term(T, members, _BUILTIN_TERMS[name]).ok)
+    return _lemma_chain(T, members, closed, lambda: check_d1(T, members).ok,
                         cache(lambda: check_d2(T, members).ok))
 
 

@@ -27,6 +27,18 @@ def closure_from_covers(n, covers):
     return leq
 
 
+def naive_transitive_closure(leq):
+    """Close a boolean relation matrix transitively in place, by Warshall's triple loop."""
+    n = len(leq)
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                row_i, row_k = leq[i], leq[k]
+                for j in range(n):
+                    if row_k[j]:
+                        row_i[j] = True
+
+
 def naive_cover_pairs(leq):
     """(a, d) with a strictly below d and no c strictly between them, by a plain triple loop."""
     n = len(leq)

@@ -1,6 +1,6 @@
-"""`report.first_witness`, the one place a law's ordered scan is skipped or read."""
+"""`report.first_witness`, the one place a law's ordered scan is skipped or read, and `Verdict.of`."""
 
-from orthokit.report import Check, first_failure, first_witness
+from orthokit.report import Check, Verdict, first_failure, first_witness
 
 
 def unreadable():
@@ -32,3 +32,10 @@ def test_an_empty_scan_gives_none():
     assert first_witness(()) is None
     assert first_witness(iter([])) is None
     assert first_failure("law", ()) == Check("law", True)
+
+
+def test_a_verdict_fails_exactly_when_it_has_a_witness():
+    assert Verdict.of(None) == Verdict(True)
+    for witness in ((), 0, (0, 1)):
+        assert Verdict.of(witness) == Verdict(False, witness)
+        assert not Verdict.of(witness)
