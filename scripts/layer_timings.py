@@ -11,9 +11,12 @@ scan is over `TERM_SCAN_LIMIT` (from 2^7 on).  `kernel_rules` is
 every congruence that `congruence_lattice` finds, the kernels found before
 the clock starts.  An `ImplicationTable`
 keeps its identity report, induced order, induced join and brute-force
-congruences once decided, so each rep runs on fresh copies of the tables
-(`dataclasses.replace`, made before the clock starts) and times the
-decisions, not lookups of kept facts.  In one run of `congruence_lattice`
+congruences once decided, an `OrthosemilatticeTable` its validation report
+and a `PosetTable` its bitsets, so each rep runs on fresh copies of the
+tables (`dataclasses.replace`, made before the clock starts) and times the
+decisions, not lookups of kept facts.  A copy records no source, so
+`reconstruct` times the validation of the rebuilt table, which a table
+that `derive_bullet` returned takes from its source instead.  In one run of `congruence_lattice`
 (on every filter, in `--families`) the `closures` column counts the
 principal congruences it closes, `joins` its `congruence_join` calls and
 `closes` the `congruence._close` runs under both, each by wrapping the
@@ -22,8 +25,13 @@ classes without a close.  Like `products` below these counts do not move
 with the host's speed.  The
 `decided` column of `--families` runs `workloads._pipeline` once on every
 model of the pass and counts the identity reports, induced orders, induced
-joins and brute-force searches it actually decides, by wrapping the functions behind
-the kept facts here.
+joins, brute-force searches and semilattice validations it actually decides,
+by wrapping the functions behind the kept facts here, and in `up_down` the
+bitset computations (`core._bitsets`) of the induced orders' relations.
+The script exits with status 1 when a filter and the table rebuilt from it
+are validated more than once between them, or when an induced order's
+bitsets are computed more than once; like the other counts, these do not
+move with the host's speed.
 
 `--catalog` prints one line per catalog reduct with the term work of
 `verify-theorems --all --seed 0` on it: `closed_subsets` on t1..t6 of the
@@ -42,6 +50,7 @@ Usage: PYTHONPATH=src python3 scripts/layer_timings.py <k> [reps]
 
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,10 +88,10 @@ def boolean(k, reps):
     P = L.poset()
     return {
         "n": L.n,
-        "lattice_from_order_s": best(lambda: core.lattice_from_order(P), reps),
+        "lattice_from_order_s": best(core.lattice_from_order, reps, [P]),
         "is_strong_s": best(lambda: core.is_strong(L), reps),
         "validate_ortholattice_s": best(lambda: core.validate_ortholattice(L), reps),
-        "validate_orthosemilattice_s": best(lambda: core.validate_orthosemilattice(S), reps),
+        "validate_orthosemilattice_s": best(core.validate_orthosemilattice, reps, [S]),
         "reconstruct_s": best(imp.reconstruct_orthosemilattice, reps, [T]),
         "overlap_s": best(lambda: core.check_overlap_consistency(S), reps),
         "identities_s": best(imp.check_ioa_identities, reps, [T]),
@@ -116,7 +125,7 @@ def families_pass(seed, reps):
     return {
         "filters": len(filters),
         "validate_ortholattice_s": best(lambda: [core.validate_ortholattice(L) for L in lattices], reps),
-        "validate_orthosemilattice_s": best(lambda: [core.validate_orthosemilattice(F) for F in filters], reps),
+        "validate_orthosemilattice_s": best(lambda *fs: [core.validate_orthosemilattice(F) for F in fs], reps, filters),
         "reconstruct_s": best(lambda *ts: [imp.reconstruct_orthosemilattice(T) for T in ts], reps, tables),
         "overlap_s": best(lambda: [core.check_overlap_consistency(F) for F in filters], reps),
         "induced_join_s": best(lambda *ts: [imp.induced_join(T) for T in ts], reps, tables),
@@ -159,20 +168,47 @@ def lattice_calls(f):
 
 
 def decided(models):
-    """Facts an `ImplicationTable` keeps, decided over one `workloads._pipeline` run of every model."""
+    """Facts the tables keep, decided over one `workloads._pipeline` run of every model.
+
+    `up_down` counts the `core._bitsets` calls on an induced order's relation,
+    rebound in every orthokit module that holds it.  `repeats` counts the
+    filters validated more than once, the filter and its rebuilt table
+    together, and the induced orders whose bitsets were computed more than
+    once."""
     facts = {"identities": imp.check_ioa_identities, "induced_order": imp.induced_order,
-             "induced_join": imp.induced_join, "bruteforce": cong._congruences_bruteforce}
-    calls = {key: [0] for key in facts}
+             "induced_join": imp.induced_join, "bruteforce": cong._congruences_bruteforce,
+             "validations": core.validate_orthosemilattice}
+    seen = {key: [] for key in [*facts, "up_down"]}
+
+    def noted(fn, into):
+        def call(arg, *rest):
+            into.append(arg)
+            return fn(arg, *rest)
+        return call
+
     real = {key: fact.__wrapped__ for key, fact in facts.items()}
+    bitsets = core._bitsets
+    holders = [mod for name, mod in sys.modules.items()
+               if name.startswith("orthokit.") and getattr(mod, "_bitsets", None) is bitsets]
     for key, fact in facts.items():
-        fact.__wrapped__ = counted(real[key], calls[key])
+        fact.__wrapped__ = noted(real[key], seen[key])
+    for mod in holders:
+        mod._bitsets = noted(bitsets, seen["up_down"])
     try:
-        for model in models:
-            workloads._pipeline(model["olat"])
+        filters = [f for model in models for f in workloads._pipeline(model["olat"])["filters"]]
     finally:
         for key, fact in facts.items():
             fact.__wrapped__ = real[key]
-    return {key: c[0] for key, c in calls.items()}
+        for mod in holders:
+            mod._bitsets = bitsets
+    validated = Counter(map(id, seen["validations"]))
+    computed = Counter(map(id, seen["up_down"]))
+    orders = [imp.induced_order(f["T"]) for f in filters]
+    counts = {key: len(calls) for key, calls in seen.items()}
+    counts["up_down"] = sum(computed[id(P.leq)] for P in orders)
+    counts["repeats"] = (sum(validated[id(f["F"])] + validated[id(f["rebuilt"])] > 1 for f in filters)
+                         + sum(computed[id(P.leq)] > 1 for P in orders))
+    return counts
 
 
 def catalog_reducts(reps):
@@ -207,7 +243,9 @@ def catalog_reducts(reps):
 if __name__ == "__main__":
     args = sys.argv[1:]
     if args and args[0] == "--families":
-        print(families_pass(int(args[1]), int(args[2]) if len(args) > 2 else 5))
+        row = families_pass(int(args[1]), int(args[2]) if len(args) > 2 else 5)
+        print(row)
+        sys.exit(1 if row["decided"]["repeats"] else 0)
     elif args and args[0] == "--catalog":
         catalog_reducts(int(args[1]) if len(args) > 1 else 5)
     else:

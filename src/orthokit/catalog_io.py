@@ -196,7 +196,11 @@ def sniff_format(text: str) -> str:
 
 def ortholattice_from_covers(n, covers, comp_pairs, names=None) -> OrtholatticeTable:
     """Close the order generators reflexively and transitively, by Warshall on up-set bitsets,
-    then tabulate the lattice."""
+    then tabulate the lattice.
+
+    Raises BadIndex for a complement pair outside 0..n-1, before any is
+    recorded, and MissingComplement for the least element no pair covers.
+    """
     up = [1 << i for i in range(n)]
     for i, j in covers:
         if not (0 <= i < n and 0 <= j < n):
@@ -207,11 +211,16 @@ def ortholattice_from_covers(n, covers, comp_pairs, names=None) -> OrtholatticeT
             if up[i] >> k & 1:
                 up[i] |= up[k]
     join, meet, bot, top = lattice_from_order(validate_poset([[u >> j & 1 for j in range(n)] for u in up]))
+    comp_pairs = list(comp_pairs)
+    for i, j in comp_pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise BadIndex((i, j), n)
     comp = [None] * n
     for i, j in comp_pairs:
         comp[i] = j
         comp[j] = i
-    assert all(c is not None for c in comp)
+    if None in comp:
+        raise MissingComplement(comp.index(None))
     return OrtholatticeTable(
         n=n, join=join, meet=meet, comp=tuple(comp), bot=bot, top=top,
         names=tuple(names) if names else None,

@@ -44,9 +44,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import _cover_pairs
+from .core import _cover_pairs, _table_fact, _up_down
 from .errors import BadIndex, InconsistentTable, MissingOne, NotAJoin, NotAnOrder, NotD1, NotD2, TooLarge
-from .implication import ImplicationTable, _columns, _flat, _readers, _table_fact, induced_join, induced_order
+from .implication import ImplicationTable, _columns, _flat, _readers, induced_join, induced_order
 from .report import Verdict, first_witness
 
 BRUTE_FORCE_LIMIT = 10  # Bell(10) = 115975 partitions
@@ -331,6 +331,13 @@ def congruence_join(T: ImplicationTable, P: Partition, Q: Partition) -> Partitio
     return J
 
 
+@_table_fact
+def _covers(T: ImplicationTable) -> tuple[tuple[int, int], ...]:
+    """The covering pairs of the induced order, once per table object, from its kept bitsets."""
+    poset = induced_order(T)
+    return tuple(_cover_pairs(poset.leq, _up_down(poset)))
+
+
 def congruence_lattice(T: ImplicationTable) -> list[Partition]:
     """All congruences: the generators' principal congruences, closed under join with one of them.
 
@@ -341,8 +348,9 @@ def congruence_lattice(T: ImplicationTable) -> list[Partition]:
     and from b up to a v b, and the covering pairs generate every congruence.
     Each cover a < d takes the generator (1, d*a): as x <= x and y v y = y,
     x*x = 1 and 1*y = (y*y)*y = y, so d*a ~ d*d = 1 when a ~ d, and
-    a = 1*a ~ (d*a)*a = d v a = d when d*a ~ 1.  Covers with the same d*a
-    share one principal closure.  Any other table takes every pair as a
+    a = 1*a ~ (d*a)*a = d v a = d when d*a ~ 1.  The covers are kept on
+    the table (`_covers`), and covers with the same d*a share one principal
+    closure.  Any other table takes every pair as a
     generator.  Joining each known congruence P with every generator
     Θ(a, b) not already below it (a and b in different blocks of P) reaches
     all joins of generators.  The identity and the principal congruences
@@ -356,8 +364,7 @@ def congruence_lattice(T: ImplicationTable) -> list[Partition]:
     try:
         induced_join(T)
         # Θ(a, d) = Θ(1, d*a) for a cover a < d, so one closure per distinct d*a
-        covers = _cover_pairs(induced_order(T).leq)
-        generators = dict.fromkeys((T.one, T.bullet[d][a]) for a, d in covers)
+        generators = dict.fromkeys((T.one, T.bullet[d][a]) for a, d in _covers(T))
     except (NotAnOrder, NotAJoin):
         generators = combinations(range(n), 2)
     principals: dict[Partition, tuple[int, int]] = {}

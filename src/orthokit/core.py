@@ -9,7 +9,7 @@ inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import reduce, wraps
 from itertools import chain, compress, repeat
 from operator import eq, is_not, itemgetter, le, or_
 
@@ -40,9 +40,49 @@ BoolRow = tuple[bool, ...]
 BoolTable = tuple[BoolRow, ...]
 
 
+def _table_fact(decide):
+    """Keep decide(T) on the frozen table object T, the way `functools.cached_property` keeps a value.
+
+    The first call on a table decides; later calls on the same object return
+    what it decided, from the instance's `__dict__`, which the frozen
+    dataclass's ==, hash and repr never read.  An exception is not kept, so a
+    rejected table raises again on every call.  The fact belongs to the
+    object, not to its value: `names` take no part in ==, yet the details of
+    a report carry labels, and no cache outlives the table.  The result must
+    be immutable, since every caller gets the same one; the one exception is
+    `congruence._known`, the set of congruences shown so far, which only
+    grows.  A decision calls `fact.__wrapped__`, so a test can count
+    decisions by replacing it, and `_keep` records a fact that its caller
+    already knows.  The facts kept so are `validate_orthosemilattice` and
+    `_up_down` here; `check_ioa_identities`, `induced_order`,
+    `induced_join`, `_columns`, `_readers`, `_flat` and `_source` in
+    `implication`; and `_congruences_bruteforce`, `_known` and `_covers` in
+    `congruence`.
+    """
+    key = f"{decide.__module__}.{decide.__qualname__}"
+
+    @wraps(decide)
+    def fact(T):
+        facts = T.__dict__
+        if key not in facts:
+            facts[key] = fact.__wrapped__(T)
+        return facts[key]
+
+    fact.key = key
+    return fact
+
+
+def _keep(T, fact, value) -> None:
+    """Record value as fact(T), as though fact had decided it on the object T."""
+    T.__dict__[fact.key] = value
+
+
 @dataclass(frozen=True)
 class PosetTable:
-    """A validated partial order as an n x n boolean relation."""
+    """A validated partial order as an n x n boolean relation.
+
+    Its up-set and down-set bitsets (`_up_down`) are kept on the object.
+    """
 
     n: int
     leq: BoolTable
@@ -96,7 +136,10 @@ class IntervalWitness:
 
 @dataclass(frozen=True)
 class OrthosemilatticeTable:
-    """Join semilattice with top plus one interval orthocomplementation per element."""
+    """Join semilattice with top plus one interval orthocomplementation per element.
+
+    Its `validate_orthosemilattice` report is kept on the object.
+    """
 
     n: int
     join: Table
@@ -136,7 +179,8 @@ def validate_poset(leq) -> PosetTable:
     for i in range(n):
         if not rows[i][i]:
             raise NotReflexive(i)
-    up, down = _up_down(rows)
+    poset = PosetTable(n, rows)
+    up, down = _up_down(poset)
     rng = range(n)
     pair = first_witness(
         ((i, j) for i in rng for j in rng if i != j and rows[i][j] and rows[j][i]),
@@ -150,22 +194,31 @@ def validate_poset(leq) -> PosetTable:
     )
     if triple:
         raise NotTransitive(*triple)
-    return PosetTable(n, rows)
+    return poset
 
 
-def _up_down(leq) -> tuple[list[int], list[int]]:
+def _bitsets(leq) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Up-set and down-set bitsets of every element of a boolean relation matrix."""
     bits = [1 << i for i in range(len(leq))]
-    return [sum(compress(bits, row)) for row in leq], [sum(compress(bits, col)) for col in zip(*leq)]
+    return tuple(sum(compress(bits, row)) for row in leq), tuple(sum(compress(bits, col)) for col in zip(*leq))
 
 
-def _cover_pairs(leq) -> list[tuple[int, int]]:
+@_table_fact
+def _up_down(P: PosetTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The `_bitsets` of the order, once per `PosetTable` object: `validate_poset` computes them
+    on the order it returns, and `lattice_from_order`, `implication.induced_join` and
+    `congruence._covers` read them from there."""
+    return _bitsets(P.leq)
+
+
+def _cover_pairs(leq, up_down=None) -> list[tuple[int, int]]:
     """Every (a, d) of a partial order with d covering a, in ascending order.
 
     d covers a when it lies strictly above a and nothing lies strictly
-    between them: strict_up[a] & strict_down[d] == 0.
+    between them: strict_up[a] & strict_down[d] == 0.  up_down, where the
+    caller has them, are the order's `_bitsets`.
     """
-    up, down = _up_down(leq)
+    up, down = up_down or _bitsets(leq)
     strict_down = [bits & ~(1 << x) for x, bits in enumerate(down)]
     out = []
     for a, bits in enumerate(up):
@@ -202,8 +255,8 @@ def lattice_from_order(poset: PosetTable) -> tuple[Table, Table, int, int]:
     such rather than as some arbitrary unjoinable pair.  Both bound sets of
     (i, j) are those of (j, i), so each pair below the diagonal is copied.
     """
-    n, leq = poset.n, poset.leq
-    up, down = _up_down(leq)
+    n = poset.n
+    up, down = _up_down(poset)
     full = (1 << n) - 1
     tops = [i for i in range(n) if down[i] == full]
     if not tops:
@@ -513,8 +566,9 @@ def _de_morgan_meets_are_glbs(jn: Table, up, down, intervals, cmaps) -> bool:
     return True
 
 
+@_table_fact
 def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
-    """Check the semilattice laws, the top, and every interval witness.
+    """Check the semilattice laws, the top, and every interval witness, once per table object.
 
     Each interval [p, 1] must be a lattice under the induced order, the
     witness must be an orthocomplementation of it, and its De Morgan meet
@@ -542,7 +596,7 @@ def validate_orthosemilattice(S: OrthosemilatticeTable) -> CheckReport:
     rng = range(n)
     # a <= b when a v b = b, as in `le`
     leq = [tuple(map(eq, row, rng)) for row in jn]
-    up, down = _up_down(leq)
+    up, down = _bitsets(leq)
     intervals = [tuple(compress(rng, row)) for row in leq]
     commutative = tuple(zip(*jn)) == jn
 

@@ -9,7 +9,6 @@ on valid inputs, which the test suite checks table by table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
 from itertools import chain, repeat
 from operator import eq
 
@@ -18,8 +17,10 @@ from .core import (
     OrthosemilatticeTable,
     PosetTable,
     _check_tables,
+    _keep,
     _least,
     _reader,
+    _table_fact,
     _up_down,
     validate_orthosemilattice,
     validate_poset,
@@ -43,7 +44,7 @@ Table = tuple[Row, ...]
 class ImplicationTable:
     """Carrier 0..n-1, the n x n table of the binary operation, and the constant 1.
 
-    The facts that `_table_fact` functions decide are kept on the object.
+    The facts that `core._table_fact` functions decide are kept on the object.
     """
 
     n: int
@@ -58,36 +59,17 @@ class ImplicationTable:
         return self.names[i] if self.names and i is not None else str(i)
 
 
-def _table_fact(decide):
-    """Keep decide(T) on the table object T, the way `functools.cached_property` keeps a value.
-
-    The first call on a table decides; later calls on the same object return
-    what it decided, from the instance's `__dict__`, which the frozen
-    dataclass's ==, hash and repr never read.  An exception is not kept, so a
-    rejected table raises again on every call.  The fact belongs to the
-    object, not to its value: `names` take no part in ==, yet the details of
-    a report carry labels, and no cache outlives the table.  The result must
-    be immutable, since every caller gets the same one; the one exception is
-    `congruence._known`, the set of congruences shown so far, which only
-    grows.  A decision calls `fact.__wrapped__`, so a test can count
-    decisions by replacing it.  The facts kept so are `check_ioa_identities`,
-    `induced_order`, `induced_join`, `_columns`, `_readers` and `_flat` here,
-    and `_congruences_bruteforce` and `_known` in `congruence`.
-    """
-    key = f"{decide.__module__}.{decide.__qualname__}"
-
-    @wraps(decide)
-    def fact(T: ImplicationTable):
-        facts = T.__dict__
-        if key not in facts:
-            facts[key] = fact.__wrapped__(T)
-        return facts[key]
-
-    return fact
+@_table_fact
+def _source(T: ImplicationTable) -> OrthosemilatticeTable | None:
+    """The orthosemilattice `derive_bullet` tabulated T from, or None for any other table object."""
+    return None
 
 
 def derive_bullet(S: OrthosemilatticeTable) -> ImplicationTable:
-    """Tabulate x*y := comp of (x v y) inside [y, 1], using the stored witnesses."""
+    """Tabulate x*y := comp of (x v y) inside [y, 1], using the stored witnesses.
+
+    The table returned records S as its `_source`.
+    """
     n, jn = S.n, S.join
     rows = []
     for x in range(n):
@@ -98,7 +80,9 @@ def derive_bullet(S: OrthosemilatticeTable) -> ImplicationTable:
                 raise MissingWitness(y)
             row.append(c)
         rows.append(tuple(row))
-    return ImplicationTable(n=n, bullet=tuple(rows), one=S.top, names=S.names)
+    T = ImplicationTable(n=n, bullet=tuple(rows), one=S.top, names=S.names)
+    _keep(T, _source, S)
+    return T
 
 
 @_table_fact
@@ -239,7 +223,7 @@ def induced_join(T: ImplicationTable) -> Table:
     the first pair.
     """
     rng = range(T.n)
-    up, _ = _up_down(induced_order(T).leq)
+    up, _ = _up_down(induced_order(T))
     join = tuple(zip(*(get(col) for get, col in zip(_readers(T)[1], _columns(T)))))
     pair = first_witness(
         ((x, y) for x in rng for y in rng if _least(up[x] & up[y], up) != join[x][y]),
@@ -268,10 +252,15 @@ def reconstruct_orthosemilattice(T: ImplicationTable) -> OrthosemilatticeTable:
     """Rebuild the orthosemilattice whose reduct the table is.
 
     Joins come from (x*y)*y and the witness of [p, 1] maps a to a*p.  The
-    result is revalidated; failure means the input was not a genuine
-    implication orthoalgebra in the first place.  On a genuine input every
-    whole-row test of `validate_orthosemilattice` passes, so the
-    revalidation costs those tests and none of its ordered scans.
+    result is validated; failure means the input was not a genuine
+    implication orthoalgebra in the first place.  Where T was derived from
+    an orthosemilattice equal to the result (`_source`), the result takes
+    that source's kept report: the validator reads nothing but the table's
+    value and its `names`, and the result takes its names from T, which
+    took them from the source.  Any other table, such as a value-equal
+    copy of a derived one, is validated afresh; on a genuine input every
+    whole-row test of `validate_orthosemilattice` passes, so that costs
+    those tests and none of its ordered scans.
     """
     report = check_ioa_identities(T)
     if not report.ok:
@@ -283,7 +272,8 @@ def reconstruct_orthosemilattice(T: ImplicationTable) -> OrthosemilatticeTable:
         cmap = tuple(ap if up else None for ap, up in zip(cols[p], leq[p]))
         witnesses.append(IntervalWitness(p=p, cmap=cmap))
     S = OrthosemilatticeTable(n=n, join=join, top=T.one, witnesses=tuple(witnesses), names=T.names)
-    report = validate_orthosemilattice(S)
+    source = _source(T)
+    report = validate_orthosemilattice(source if S == source else S)
     if not report.ok:
         raise NotImplicationAlgebra(report)
     return S

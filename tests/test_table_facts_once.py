@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from oracles import naive_congruence_lattice
-from orthokit import catalog, catalog_io, entry, verify
+from orthokit import catalog, catalog_io, core, entry, verify
 from orthokit import congruence as cong
 from orthokit import implication as imp
 from orthokit.catalog_io import parse_olat
@@ -179,3 +179,46 @@ def test_kept_facts_change_neither_equality_nor_hash_nor_repr():
     assert (repr(T), hash(T)) == before == (repr(copy), hash(copy))
     assert T == copy and copy == T
     assert {T: 1}[copy] == 1
+
+
+def spy_on(monkeypatch, facts):
+    """Per fact, the objects it was decided on, in call order, counted through `__wrapped__`."""
+    seen = {key: [] for key in facts}
+    for key, fact in facts.items():
+        decide = fact.__wrapped__
+        monkeypatch.setattr(fact, "__wrapped__", lambda T, decide=decide, into=seen[key]: into.append(T) or decide(T))
+    return seen
+
+
+def round_trip_facts():
+    return {"validations": core.validate_orthosemilattice, "up_down": core._up_down, "covers": cong._covers}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_families_pass_validates_each_filter_once_and_computes_each_order_bitsets_once(monkeypatch, seed):
+    """One validation per filter, counting the filter and the table rebuilt from its reduct together,
+    one set of bitsets per induced order, and one set of covers per table over two lattice runs."""
+    seen = spy_on(monkeypatch, round_trip_facts())
+    models = workloads.prepare_families(seed, 0, None, {})["models"]
+    filters = [f for m in models for f in workloads._pipeline(m["olat"])["filters"]]
+    assert filters
+    for f in filters:
+        cong.congruence_lattice(f["T"])
+    validated = Counter(map(id, seen["validations"]))
+    assert [validated[id(f["F"])] + validated[id(f["rebuilt"])] for f in filters] == [1] * len(filters)
+    assert len(seen["validations"]) == len(filters)
+    computed = Counter(map(id, seen["up_down"]))
+    assert [computed[id(imp.induced_order(f["T"]))] for f in filters] == [1] * len(filters)
+    assert Counter(map(id, seen["covers"])) == Counter(id(f["T"]) for f in filters)
+
+
+def test_an_induced_order_computes_its_bitsets_inside_induced_order(monkeypatch):
+    seen = spy_on(monkeypatch, round_trip_facts())
+    T = dataclasses.replace(entry("fig2_filter_no0_reduct").payload)
+    poset = imp.induced_order(T)
+    assert seen["up_down"] == [poset]
+    imp.induced_join(T)
+    cong.congruence_lattice(T)
+    cong.congruence_lattice(T)
+    assert seen["up_down"] == [poset] and seen["covers"] == [T]
+    assert cong._covers(T) is cong._covers(T)
